@@ -14,11 +14,10 @@ from .channels import (CtcSystem, apply_superoperator, channel_distance,
                        kraus_commutator_residual, kraus_completeness_defect,
                        kraus_from_choi, noisy_cv_map, superoperator,
                        superoperator_from_kraus, unvec, vec)
-from .engines import (ConvergenceError, EngineConfig, ExceptionalPReport,
-                      FixedSubspace, IterationOutcome, allen_cesaro,
-                      consistency_residual, deutsch_cesaro, exceptional_p,
-                      fixed_subspace, limit_superoperator, ralph_closed_form,
-                      ralph_iterate)
+from .engines import (ConvergenceError, EngineConfig, FixedSubspace,
+                      IterationOutcome, allen_cesaro, consistency_residual,
+                      deutsch_cesaro, fixed_subspace, limit_superoperator,
+                      ralph_closed_form, ralph_iterate)
 from .maxent import (MaxEntResult, entropy_gradient, max_entropy_fixed_state,
                      project_affine)
 from .gallery import (DEFAULT_ORDERING, GallerySystem, KnownState, Ordering,

@@ -25,7 +25,6 @@ from .qmat import (
     check_unitary,
     maximally_mixed,
     partial_trace,
-    tensor,
     _as_square,
 )
 
@@ -68,34 +67,30 @@ class CtcSystem:
         return self.split.d_cv
 
 
-def _interact(sys: CtcSystem, mat: np.ndarray, include_noise: bool) -> np.ndarray:
-    """Linear action of one loop pass on an arbitrary d_cv x d_cv matrix."""
-    joint = np.kron(sys.rho_cr, mat)
-    after = sys.u @ joint @ sys.u.conj().T
-    out = partial_trace(after, sys.split, keep="cv")
-    if include_noise and sys.p > 0.0:
-        out = (1.0 - sys.p) * out + sys.p * mat.trace() * maximally_mixed(sys.d_cv)
-    return out
+def _cv_state(sys: CtcSystem, tau) -> np.ndarray:
+    """Validate ``tau`` as a density matrix on the system's CV side."""
+    t = check_density(tau)
+    if t.shape[0] != sys.d_cv:
+        raise ValueError(f"CV state dimension {t.shape[0]} does not match d_cv={sys.d_cv}")
+    return t
+
+
+def _interact(sys: CtcSystem, tau, keep: str) -> np.ndarray:
+    """One noiseless loop pass on CV state ``tau``: the Hermitized ``keep``
+    marginal of ``u (rho_cr (x) tau) u^dag``."""
+    after = sys.u @ np.kron(sys.rho_cr, _cv_state(sys, tau)) @ sys.u.conj().T
+    out = partial_trace(after, sys.split, keep=keep)
+    return 0.5 * (out + out.conj().T)
 
 
 def cv_map(sys: CtcSystem, tau) -> np.ndarray:
     """One noiseless pass: the CV marginal of ``u (rho_cr (x) tau) u^dag``."""
-    t = check_density(tau)
-    if t.shape[0] != sys.d_cv:
-        raise ValueError(f"CV state dimension {t.shape[0]} does not match d_cv={sys.d_cv}")
-    out = _interact(sys, t, include_noise=False)
-    return 0.5 * (out + out.conj().T)
+    return _interact(sys, tau, "cv")
 
 
 def cr_output(sys: CtcSystem, tau) -> np.ndarray:
     """The CR-side marginal of ``u (rho_cr (x) tau) u^dag`` for CV state ``tau``."""
-    t = check_density(tau)
-    if t.shape[0] != sys.d_cv:
-        raise ValueError(f"CV state dimension {t.shape[0]} does not match d_cv={sys.d_cv}")
-    joint = tensor(sys.rho_cr, t)
-    after = sys.u @ joint @ sys.u.conj().T
-    out = partial_trace(after, sys.split, keep="cr")
-    return 0.5 * (out + out.conj().T)
+    return _interact(sys, tau, "cr")
 
 
 def depolarize(tau, p: float) -> np.ndarray:
@@ -136,17 +131,18 @@ def _superop_dim(m) -> int:
 def superoperator(sys: CtcSystem, include_noise: bool = False) -> np.ndarray:
     """Matrix of one loop pass on vectorized operators, shape (d^2, d^2).
 
-    Built column by column from the map's action on the d^2 matrix units;
-    with ``include_noise`` the depolarizing step at ``sys.p`` is composed in.
+    With ``u`` indexed as ``u[a, b, c, e]`` (output CR, output CV, input CR,
+    input CV), entry ``[b + d*b', e + d*e']`` is
+    ``sum_{a,c,f} u[a,b,c,e] rho_cr[c,f] conj(u[a,b',f,e'])``, one einsum.
+    With ``include_noise`` the depolarizing step at ``sys.p`` is composed
+    in as the rank-one update ``(1-p) M + p vec(I/d) vec(I)^T``.
     """
     d = sys.d_cv
-    m = np.zeros((d * d, d * d), dtype=complex)
-    unit = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        for i in range(d):
-            unit[i, j] = 1.0
-            m[:, i + d * j] = vec(_interact(sys, unit, include_noise))
-            unit[i, j] = 0.0
+    u = sys.u.reshape(sys.split.d_cr, d, sys.split.d_cr, d)
+    m = np.einsum("abce,cf,agfh->gbhe", u, sys.rho_cr, u.conj(),
+                  optimize=True).reshape(d * d, d * d)
+    if include_noise and sys.p > 0.0:
+        m = (1.0 - sys.p) * m + sys.p * np.outer(vec(maximally_mixed(d)), vec(np.eye(d)))
     return m
 
 
@@ -165,12 +161,10 @@ def superoperator_from_kraus(ops) -> np.ndarray:
         raise ValueError("empty Kraus set")
     mats = [_as_square(e, "Kraus operator") for e in ops]
     d = mats[0].shape[0]
-    m = np.zeros((d * d, d * d), dtype=complex)
-    for e in mats:
-        if e.shape[0] != d:
-            raise ValueError("Kraus operators have mismatched dimensions")
-        m += np.kron(e.conj(), e)
-    return m
+    if any(e.shape[0] != d for e in mats):
+        raise ValueError("Kraus operators have mismatched dimensions")
+    e = np.array(mats)
+    return np.einsum("kab,kcd->acbd", e.conj(), e).reshape(d * d, d * d)
 
 
 def choi_matrix(m) -> np.ndarray:
@@ -180,13 +174,9 @@ def choi_matrix(m) -> np.ndarray:
     is completely positive.
     """
     d = _superop_dim(m)
-    a = np.asarray(m, dtype=complex)
-    c = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            block = unvec(a[:, i + d * j], d)
-            c[i * d:(i + 1) * d, j * d:(j + 1) * d] = block
-    return c
+    # Block (i, j) is unvec of column i + d*j: c[i*d + k, j*d + l] = m[k + d*l, i + d*j].
+    a = np.asarray(m, dtype=complex).reshape(d, d, d, d)
+    return a.transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
 
 def kraus_from_choi(c, cutoff: float = KRAUS_EIG_CUTOFF) -> list[np.ndarray]:

@@ -18,23 +18,23 @@ directory; file names are fixed per command so reruns overwrite.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 
 import numpy as np
 
+from . import __version__
 from .channels import (channel_distance, choi_matrix,
                        kraus_commutator_residual, kraus_completeness_defect,
                        kraus_from_choi, superoperator_from_kraus)
 from .engines import (ConvergenceError, consistency_residual, fixed_subspace,
-                      limit_superoperator)
+                      limit_superoperator, ralph_iterate)
 from .experiments import (Fig2Config, Fig3Config, RunRecord, RunRow,
-                          _code_version, continuity_metric,
-                          counterexample_report, derive_seed,
-                          deutsch_rule_grid, run_fig2, run_fig3, write_csv,
-                          write_manifest)
+                          _bistable_section, _cycle_section, _kraus_section,
+                          _mat_json, _write_json, continuity_metric,
+                          derive_seed, deutsch_rule_grid, run_fig2, run_fig3,
+                          write_csv, write_manifest)
 from .gallery import gallery, limit_kraus_ops
 from .maxent import max_entropy_fixed_state
 from .qmat import maximally_mixed, von_neumann_entropy
@@ -185,16 +185,12 @@ def _resolve_out_dir(args) -> str:
     return out
 
 
-def _write_json(path, doc) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _small_manifest(out, name, config, wall) -> None:
+def _write_artifact(out, name, doc, config, t0) -> None:
+    """Write ``<name>.json`` and its manifest, timed from ``t0``."""
+    _write_json(os.path.join(out, f"{name}.json"), doc)
     _write_json(os.path.join(out, f"{name}_manifest.json"),
                 {"experiment": name, "config": config,
-                 "version": _code_version(), "wall_time_s": wall})
+                 "version": __version__, "wall_time_s": time.monotonic() - t0})
 
 
 def _mat_lines(m, digits=6) -> str:
@@ -204,50 +200,44 @@ def _mat_lines(m, digits=6) -> str:
     return np.array2string(np.round(a, digits), suppress_small=True)
 
 
-def _from_mat_json(doc) -> np.ndarray:
-    return np.array(doc["real"]) + 1j * np.array(doc["imag"])
-
-
 def _cmd_demo(args) -> int:
     out = _resolve_out_dir(args)
     t0 = time.monotonic()
-    report = counterexample_report()
+    g = gallery()
     rows = []
+
+    def row(family, p, status, entropy, resid, steps):
+        rows.append(RunRow(f"demo:{args.name}", family, None, None, None, p,
+                           len(rows), 0, status, entropy, resid, steps))
+
     if args.name == "u1-cycle":
-        sec = report["cycle"]
+        cyc = ralph_iterate(g["u1"].system(), maximally_mixed(4))
+        sec = _cycle_section(cyc)
         print(f"period-{sec['period']} cycle detected after {sec['steps']} steps")
-        for k, st in enumerate(sec["cycle_states"]):
-            m = _from_mat_json(st)
+        for k, m in enumerate(cyc.cycle_states or ()):
             s_bits = von_neumann_entropy(m)
             print(f"cycle state {k + 1}: diag "
                   f"{np.round(np.real(np.diag(m)), 6).tolist()}, "
                   f"entropy {s_bits:.6f} bits")
-            rows.append(RunRow(f"demo:{args.name}", "", None, None, None, 0.0,
-                               k, 0, "cycle-state", s_bits, 0.0, sec["steps"]))
-        avg = _from_mat_json(sec["orbit_average"])
-        resid = consistency_residual(gallery()["u1"].system(), avg)
-        print(f"orbit average: diag {np.round(np.real(np.diag(avg)), 6).tolist()}, "
+            row("", 0.0, "cycle-state", s_bits, 0.0, sec["steps"])
+        resid = consistency_residual(g["u1"].system(), cyc.state)
+        print(f"orbit average: diag {np.round(np.real(np.diag(cyc.state)), 6).tolist()}, "
               f"entropy {sec['orbit_average_entropy_bits']:.6f} bits, "
               f"consistency residual {resid:.3e}")
-        rows.append(RunRow(f"demo:{args.name}", "", None, None, None, 0.0,
-                           len(rows), 0, "orbit-average",
-                           sec["orbit_average_entropy_bits"], resid,
-                           sec["steps"]))
-        artifact = sec
+        row("", 0.0, "orbit-average", sec["orbit_average_entropy_bits"], resid,
+            sec["steps"])
     elif args.name == "u2-bistable":
-        sec = report["bistable"]
+        sec = _bistable_section(g)
         print("initial state      p      status     entropy_bits")
-        for k, r in enumerate(sec["rows"]):
+        for r in sec["rows"]:
             print(f"{r['tau0']:<18} {r['p']:<6g} {r['status']:<10} "
                   f"{r['entropy_bits']:.6f}")
-            rows.append(RunRow(f"demo:{args.name}", r["tau0"], None, None,
-                               None, r["p"], k, 0, r["status"],
-                               r["entropy_bits"], r["residual"], r["steps"]))
+            row(r["tau0"], r["p"], r["status"], r["entropy_bits"], r["residual"],
+                r["steps"])
         print("the p = 0 outcome depends on the initial state; "
               "the p = 0.01 outcome does not")
-        artifact = sec
     else:
-        sec = report["kraus"]
+        sec = _kraus_section(g)
         print(f"iterated-map limit extracted as {sec['operator_count']} "
               f"Kraus operators")
         print(f"completeness defect: {sec['completeness_defect']:.3e}")
@@ -256,18 +246,11 @@ def _cmd_demo(args) -> int:
         print(f"commutator residual at the maximally mixed state: "
               f"{sec['commutator_residual_mm']:.6f} (sqrt(2)/4 = "
               f"{np.sqrt(2) / 4:.6f}); commuting Kraus operators would give 0")
-        rows.append(RunRow(f"demo:{args.name}", "", None, None, None, 0.0, 0,
-                           0, "completeness", None,
-                           sec["completeness_defect"], 0))
-        rows.append(RunRow(f"demo:{args.name}", "", None, None, None, 0.0, 1,
-                           0, "reference-commutator", None,
-                           sec["commutator_residual_mm"], 0))
-        artifact = sec
+        row("", 0.0, "completeness", None, sec["completeness_defect"], 0)
+        row("", 0.0, "reference-commutator", None, sec["commutator_residual_mm"], 0)
     safe = args.name.replace("-", "_")
     write_csv(rows, os.path.join(out, f"demo_{safe}.csv"))
-    _write_json(os.path.join(out, f"demo_{safe}.json"), artifact)
-    _small_manifest(out, f"demo_{safe}", {"name": args.name},
-                    time.monotonic() - t0)
+    _write_artifact(out, f"demo_{safe}", sec, {"name": args.name}, t0)
     return 0
 
 
@@ -320,6 +303,7 @@ def _cmd_surface(args) -> int:
                                  system=args.system)
         rows = []
         n = len(eps_values)
+        nan_cells = int(np.isnan(grid).sum())
         for task in range(n * n):
             i, j = divmod(task, n)
             rows.append(RunRow("deutsch-rule", args.family, None,
@@ -331,10 +315,12 @@ def _cmd_surface(args) -> int:
                         {"family": args.family, "eps_values": list(eps_values),
                          "system": args.system, "master_seed": args.seed},
                         tuple(rows), time.monotonic() - t0, grid=grid,
-                        info={"max_jump": jump,
-                              "jump_cells": [list(cells[0]), list(cells[1])]})
+                        info={"max_jump": jump, "nan_cells": nan_cells,
+                              "jump_cells": None if cells is None else
+                              [list(cells[0]), list(cells[1])]})
+        where = "" if cells is None else f" at cells {cells[0]} -> {cells[1]}"
         print(f"surface [deutsch, {args.family}]: max adjacent jump "
-              f"{jump:.6f} at cells {cells[0]} -> {cells[1]}")
+              f"{jump:.6f}{where}; {nan_cells} NaN cells")
     write_csv(rec.rows, os.path.join(out, "surface.csv"))
     write_manifest(rec, os.path.join(out, "surface_manifest.json"))
     print(f"wrote {os.path.join(out, 'surface.csv')} ({len(rec.rows)} rows)")
@@ -351,15 +337,13 @@ def _cmd_maxent(args) -> int:
     print(f"entropy: {res.entropy_bits:.6f} bits "
           f"({res.iterations} ascent iterations, "
           f"projected-gradient norm {res.kkt_residual:.3e})")
-    _write_json(os.path.join(out, "maxent.json"),
-                {"system": args.system,
-                 "state": {"real": np.real(res.state).tolist(),
-                           "imag": np.imag(res.state).tolist()},
-                 "entropy_bits": res.entropy_bits,
-                 "iterations": res.iterations,
-                 "kkt_residual": res.kkt_residual})
-    _small_manifest(out, "maxent", {"system": args.system},
-                    time.monotonic() - t0)
+    _write_artifact(out, "maxent",
+                    {"system": args.system,
+                     "state": _mat_json(res.state),
+                     "entropy_bits": res.entropy_bits,
+                     "iterations": res.iterations,
+                     "kkt_residual": res.kkt_residual},
+                    {"system": args.system}, t0)
     return 0
 
 
@@ -390,23 +374,12 @@ def _rref(mat, tol=1e-9):
 def _diag_family_description(basis, d: int) -> str:
     """Symbolic form of the diagonal slice of the fixed span, as in
     ``diag(a, 0, b, b)``; empty slice reported in words."""
-    vecs = []
-    for b in basis:
-        v = np.asarray(b, dtype=complex).reshape(-1)
-        for u in vecs:
-            v = v - (u.conj() @ v) * u
-        n = np.linalg.norm(v)
-        if n > 1e-10:
-            vecs.append(v / n)
-    # residual of each diagonal unit after projection onto the span
-    cols = []
-    for i in range(d):
-        e = np.zeros(d * d, dtype=complex)
-        e[i * d + i] = 1.0
-        for u in vecs:
-            e = e - (u.conj() @ e) * u
-        cols.append(np.concatenate([np.real(e), np.imag(e)]))
-    a = np.array(cols).T  # combinations x with a @ x = 0 lie in the span
+    # residual of each diagonal unit after projection onto the span; the
+    # basis is orthonormal (a FixedSubspace basis), so it projects as is
+    vecs = np.array([np.asarray(b, dtype=complex).reshape(-1) for b in basis])
+    units = np.eye(d * d, dtype=complex)[:, ::d + 1]
+    resid = units - vecs.T @ (vecs.conj() @ units)
+    a = np.concatenate([resid.real, resid.imag])  # combinations x with a @ x = 0 lie in the span
     _, sv, vt = np.linalg.svd(a)
     null = vt[np.sum(sv > 1e-9):]
     if null.size == 0:
@@ -444,13 +417,11 @@ def _cmd_fixedpoints(args) -> int:
     for k, b in enumerate(fs.basis):
         print(f"basis element {k + 1}:")
         print(_mat_lines(b))
-    _write_json(os.path.join(out, "fixedpoints.json"),
-                {"system": args.system, "dimension": fs.dim,
-                 "diagonal_slice": desc,
-                 "basis": [{"real": np.real(b).tolist(),
-                            "imag": np.imag(b).tolist()} for b in fs.basis]})
-    _small_manifest(out, "fixedpoints", {"system": args.system},
-                    time.monotonic() - t0)
+    _write_artifact(out, "fixedpoints",
+                    {"system": args.system, "dimension": fs.dim,
+                     "diagonal_slice": desc,
+                     "basis": [_mat_json(b) for b in fs.basis]},
+                    {"system": args.system}, t0)
     return 0
 
 
@@ -467,8 +438,7 @@ def _cmd_kraus(args) -> int:
         print(_mat_lines(e))
     doc = {"system": args.system, "operator_count": len(ops),
            "completeness_defect": kraus_completeness_defect(ops),
-           "operators": [{"real": np.real(e).tolist(),
-                          "imag": np.imag(e).tolist()} for e in ops]}
+           "operators": [_mat_json(e) for e in ops]}
     if args.system == "u2":
         ref = limit_kraus_ops()
         doc["channel_distance_to_reference"] = channel_distance(
@@ -479,9 +449,7 @@ def _cmd_kraus(args) -> int:
               f"{doc['channel_distance_to_reference']:.3e}")
         print(f"reference-set commutator residual at the maximally mixed "
               f"state: {doc['reference_commutator_residual']:.6f}")
-    _write_json(os.path.join(out, "kraus.json"), doc)
-    _small_manifest(out, "kraus", {"system": args.system},
-                    time.monotonic() - t0)
+    _write_artifact(out, "kraus", doc, {"system": args.system}, t0)
     return 0
 
 

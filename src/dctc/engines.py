@@ -11,7 +11,8 @@ in the closed-timelike-curve literature:
   below tolerance.
 * ``allen_cesaro``: Cesaro average across the depolarization-interleaved
   orbit. For ``p > 0`` the interleaved orbit contracts geometrically, so
-  the average's limit equals the orbit limit, which is what is returned.
+  the average's limit equals the orbit limit: this picture is
+  ``ralph_iterate`` restricted to ``p > 0``.
 * ``ralph_iterate`` / ``ralph_closed_form``: direct iteration of the noisy
   map, and the same fixed point from one linear solve of
   ``(Id - (1-p) M) vec(tau) = p vec(I/d)``.
@@ -33,13 +34,15 @@ import numpy as np
 
 from .channels import (
     CtcSystem,
-    _interact,
+    _cv_state,
     apply_superoperator,
+    cv_map,
     superoperator,
     unvec,
     vec,
 )
-from .qmat import PSD_TOL, check_density, maximally_mixed, trace_distance
+from .qmat import (PSD_TOL, check_density, hermitian_span, maximally_mixed,
+                   trace_distance)
 
 FIXED_SUBSPACE_SVD_TOL = 1e-8
 _CYCLE_GUARD = 10.0
@@ -112,7 +115,7 @@ def _sym(x: np.ndarray) -> np.ndarray:
 class _OrbitResult:
     kind: str  # "fixed" | "cycle" | "mean" | "exhausted"
     last: np.ndarray
-    mean: np.ndarray
+    mean: np.ndarray  # running mean, up to date for "mean" and "exhausted" only
     steps: int
     cycle_states: tuple[np.ndarray, ...] | None = None
 
@@ -138,7 +141,6 @@ def _run_orbit(step, tau0: np.ndarray, cfg: EngineConfig,
 
         # Fixed point: trace distance between successive iterates below tol.
         if 0.5 * d1_fro < tol and trace_distance(x_new, x) < tol:
-            mean += (x_new - mean) / (n + 1.0)
             return _OrbitResult("fixed", x_new, mean, n)
 
         # Cycle scan over lags 2..window, smallest lag wins.
@@ -157,7 +159,6 @@ def _run_orbit(step, tau0: np.ndarray, cfg: EngineConfig,
                 if d1_fro / prev_motion < _CYCLE_DECAY_MIN:
                     continue  # motion is decaying: converging, not cycling
                 cycle = tuple(window[len(window) - lag:])
-                mean += (x_new - mean) / (n + 1.0)
                 return _OrbitResult("cycle", x_new, mean, n, cycle)
 
         prev_mean = mean
@@ -182,13 +183,6 @@ def _run_orbit(step, tau0: np.ndarray, cfg: EngineConfig,
     return _OrbitResult("exhausted", x, _sym(mean), cfg.max_iter)
 
 
-def _validated_start(sys: CtcSystem, tau0) -> np.ndarray:
-    t = check_density(tau0)
-    if t.shape[0] != sys.d_cv:
-        raise ValueError(f"CV state dimension {t.shape[0]} does not match d_cv={sys.d_cv}")
-    return t
-
-
 def _linear_step(sys: CtcSystem, include_noise: bool):
     """The loop map as one superoperator matvec per step.
 
@@ -205,28 +199,45 @@ def _linear_step(sys: CtcSystem, include_noise: bool):
     return step
 
 
+def _orbit_outcome(sys: CtcSystem, tau0, cfg: EngineConfig | None,
+                   cesaro: bool) -> IterationOutcome:
+    """Run one picture's orbit from ``tau0`` and package the result.
+
+    ``cesaro=False``: the noisy map at ``sys.p``, cycle scan only at p = 0;
+    a cycle keeps its "cycle" status with the cycle-closure defect as the
+    residual, and an exhausted run returns its last iterate.
+    ``cesaro=True``: the noiseless map with the running-mean stop; fixed
+    points, cycle means and settled running means are all "converged", and
+    an exhausted run returns the running mean. Other residuals are the
+    trace distance between the map's image of the state and the state.
+    """
+    cfg = cfg or EngineConfig()
+    t0 = _cv_state(sys, tau0)
+    step = _linear_step(sys, include_noise=not cesaro)
+    res = _run_orbit(step, t0, cfg, mean_stop_map=step if cesaro else None,
+                     scan_cycles=cesaro or sys.p == 0.0)
+    cycle = res.cycle_states
+    if res.kind == "cycle":
+        state = _sym(sum(cycle) / len(cycle))
+        if not cesaro:
+            resid = trace_distance(_sym(step(cycle[-1])), cycle[0])
+            return IterationOutcome("cycle", state, res.steps, resid, cycle)
+    elif res.kind == "fixed" or not cesaro:
+        state = res.last
+    else:
+        state = res.mean
+    status = "exhausted" if res.kind == "exhausted" else "converged"
+    return IterationOutcome(status, state, res.steps,
+                            trace_distance(_sym(step(state)), state), cycle)
+
+
 def ralph_iterate(sys: CtcSystem, tau0, cfg: EngineConfig | None = None) -> IterationOutcome:
     """Iterate the noisy map ``tau -> (1-p) D(tau) + p I/d`` from ``tau0``.
 
     With ``p = 0`` this is plain iteration of the loop map; orbits may then
     land on a cycle, reported with the cycle's Cesaro mean as the state.
     """
-    cfg = cfg or EngineConfig()
-    t0 = _validated_start(sys, tau0)
-    step = _linear_step(sys, include_noise=True)
-    res = _run_orbit(step, t0, cfg, scan_cycles=sys.p == 0.0)
-    if res.kind == "fixed":
-        state = res.last
-        return IterationOutcome("converged", state, res.steps,
-                                trace_distance(_sym(step(state)), state))
-    if res.kind == "cycle":
-        cycle = res.cycle_states
-        state = _sym(sum(cycle) / len(cycle))
-        resid = trace_distance(_sym(step(cycle[-1])), cycle[0])
-        return IterationOutcome("cycle", state, res.steps, resid, cycle)
-    state = res.last
-    return IterationOutcome("exhausted", state, res.steps,
-                            trace_distance(_sym(step(state)), state))
+    return _orbit_outcome(sys, tau0, cfg, cesaro=False)
 
 
 def deutsch_cesaro(sys: CtcSystem, tau0, cfg: EngineConfig | None = None) -> IterationOutcome:
@@ -237,54 +248,21 @@ def deutsch_cesaro(sys: CtcSystem, tau0, cfg: EngineConfig | None = None) -> Ite
     mean is returned once successive means differ by less than ``tol`` and
     the consistency residual is below ``10 * tol``.
     """
-    cfg = cfg or EngineConfig()
-    t0 = _validated_start(sys, tau0)
-    step = _linear_step(sys, include_noise=False)
-    res = _run_orbit(step, t0, cfg, mean_stop_map=step)
-    if res.kind == "fixed":
-        state = res.last
-        return IterationOutcome("converged", state, res.steps,
-                                trace_distance(_sym(step(state)), state))
-    if res.kind == "cycle":
-        cycle = res.cycle_states
-        state = _sym(sum(cycle) / len(cycle))
-        return IterationOutcome("converged", state, res.steps,
-                                trace_distance(_sym(step(state)), state), cycle)
-    if res.kind == "mean":
-        state = res.mean
-        return IterationOutcome("converged", state, res.steps,
-                                trace_distance(_sym(step(state)), state))
-    state = res.mean
-    return IterationOutcome("exhausted", state, res.steps,
-                            trace_distance(_sym(step(state)), state))
+    return _orbit_outcome(sys, tau0, cfg, cesaro=True)
 
 
 def allen_cesaro(sys: CtcSystem, tau0, cfg: EngineConfig | None = None) -> IterationOutcome:
     """Cesaro-averaged depolarization-interleaved orbit from ``tau0``.
 
     Requires ``sys.p > 0``. The interleaved orbit contracts geometrically,
-    so its Cesaro limit equals the orbit limit; that limit is returned once
-    successive iterates differ by less than ``tol``. It coincides with the
-    fixed point of ``ralph_iterate`` and ``ralph_closed_form``.
+    so its Cesaro limit equals the orbit limit, which is exactly what
+    ``ralph_iterate`` computes; this is ``ralph_iterate`` restricted to
+    ``p > 0``, named for the picture it stands for. Its fixed point
+    coincides with ``ralph_closed_form``.
     """
     if sys.p <= 0.0:
         raise ValueError("allen_cesaro requires a system with p > 0")
-    cfg = cfg or EngineConfig()
-    t0 = _validated_start(sys, tau0)
-    step = _linear_step(sys, include_noise=True)
-    res = _run_orbit(step, t0, cfg, scan_cycles=False)
-    if res.kind == "fixed":
-        state = res.last
-        return IterationOutcome("converged", state, res.steps,
-                                trace_distance(_sym(step(state)), state))
-    if res.kind == "cycle":
-        cycle = res.cycle_states
-        state = _sym(sum(cycle) / len(cycle))
-        return IterationOutcome("converged", state, res.steps,
-                                trace_distance(_sym(step(cycle[-1])), cycle[0]), cycle)
-    state = res.mean
-    return IterationOutcome("exhausted", state, res.steps,
-                            trace_distance(_sym(step(state)), state))
+    return ralph_iterate(sys, tau0, cfg)
 
 
 def ralph_closed_form(sys: CtcSystem) -> np.ndarray:
@@ -313,22 +291,7 @@ def ralph_closed_form(sys: CtcSystem) -> np.ndarray:
 
 def consistency_residual(sys: CtcSystem, tau) -> float:
     """Trace distance between the noiseless map's image of ``tau`` and ``tau``."""
-    t = _validated_start(sys, tau)
-    return trace_distance(_sym(_interact(sys, t, include_noise=False)), t)
-
-
-def _orthonormalize_hermitian(mats, drop_tol: float = 1e-10):
-    """Gram-Schmidt over the real span of Hermitian matrices (HS inner product)."""
-    basis: list[np.ndarray] = []
-    for m in mats:
-        v = m.astype(complex)
-        for _ in range(2):  # two passes for numerical stability
-            for b in basis:
-                v = v - np.real(np.trace(b.conj().T @ v)) * b
-        norm = float(np.linalg.norm(v))
-        if norm > drop_tol:
-            basis.append(_sym(v / norm))
-    return basis
+    return trace_distance(cv_map(sys, tau), tau)
 
 
 def fixed_subspace(sys: CtcSystem) -> FixedSubspace:
@@ -341,13 +304,11 @@ def fixed_subspace(sys: CtcSystem) -> FixedSubspace:
     m = superoperator(sys, include_noise=False)
     k = m - np.eye(d * d, dtype=complex)
     _, s, vh = np.linalg.svd(k)
-    null_vecs = [vh[i].conj() for i in range(len(s)) if s[i] <= FIXED_SUBSPACE_SVD_TOL]
-    cands: list[np.ndarray] = []
-    for v in null_vecs:
-        b = unvec(v, d)
-        cands.append(0.5 * (b + b.conj().T))
-        cands.append((b - b.conj().T) / 2j)
-    basis = _orthonormalize_hermitian(cands)
+    # Kernel vectors as matrices (unvec of each); their Hermitian and
+    # anti-Hermitian parts span the fixed Hermitian operators.
+    b = vh[s <= FIXED_SUBSPACE_SVD_TOL].conj().reshape(-1, d, d).transpose(0, 2, 1)
+    bh = b.conj().transpose(0, 2, 1)
+    basis = hermitian_span(np.concatenate([0.5 * (b + bh), (b - bh) / 2j]))
     basis = [b for b in basis
              if np.linalg.norm(apply_superoperator(m, b) - b) < FIXED_SUBSPACE_SVD_TOL]
     if not basis:
@@ -373,36 +334,3 @@ def limit_superoperator(sys: CtcSystem, cfg: EngineConfig | None = None) -> np.n
     raise ConvergenceError(
         "superoperator powers did not converge in 60 squarings; "
         "the map has rotating spectrum on the unit circle")
-
-
-@dataclass(frozen=True)
-class ExceptionalPReport:
-    """Diagnostics for the noise strengths excluded by the closed form.
-
-    ``exceptional`` is True when ``1/(1-p)`` lies in the noiseless map's
-    spectrum (within 1e-9). For ``0 < p < 1`` the check is vacuous: the
-    spectrum lies in the closed unit disk while the target exceeds 1.
-    """
-
-    exceptional: bool
-    p: float
-    target: float
-    spectrum: np.ndarray
-    min_gap: float
-    note: str
-
-
-def exceptional_p(sys: CtcSystem) -> ExceptionalPReport:
-    """Check whether ``1/(1-p)`` is an eigenvalue of the noiseless map."""
-    if not 0.0 <= sys.p < 1.0:
-        raise ValueError(f"noise strength p={sys.p} outside [0, 1)")
-    m = superoperator(sys, include_noise=False)
-    spectrum = np.linalg.eigvals(m)
-    target = 1.0 / (1.0 - sys.p)
-    min_gap = float(np.abs(spectrum - target).min())
-    exceptional = min_gap < 1e-9
-    note = ("vacuous for 0 < p < 1: the spectrum lies in the closed unit disk "
-            f"and the target {target:.6g} exceeds 1" if sys.p > 0 else
-            "at p=0 the target is 1, which every trace-preserving map has in "
-            "its spectrum; the closed form itself requires p > 0")
-    return ExceptionalPReport(exceptional, sys.p, target, spectrum, min_gap, note)

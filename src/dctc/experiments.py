@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import __version__
 from .channels import (channel_distance, choi_matrix,
                        kraus_commutator_residual, kraus_completeness_defect,
                        kraus_from_choi, noisy_cv_map, superoperator_from_kraus)
@@ -63,14 +64,6 @@ def derive_seed(master_seed: int, task: int) -> int:
                        + (master_seed & _U64).to_bytes(8, "little")
                        + (task & _U64).to_bytes(8, "little")).digest()
     return int.from_bytes(h[:8], "little")
-
-
-def _code_version() -> str:
-    try:
-        from importlib.metadata import version
-        return version("dctc")
-    except Exception:
-        return "unknown"
 
 
 @dataclass(frozen=True)
@@ -293,17 +286,27 @@ def transpose_asymmetry(grid) -> float:
 
 def continuity_metric(grid):
     """Maximum absolute entropy difference between 4-neighbor adjacent
-    cells, with the argmax cell pair ((i, j), (i2, j2))."""
+    cells, with the argmax cell pair ((i, j), (i2, j2)).
+
+    Pairs touching a NaN cell are skipped; when no pair is finite the
+    result is ``(nan, None)``.
+    """
     g = np.asarray(grid, dtype=float)
     if g.ndim != 2 or g.shape[0] < 2 or g.shape[1] < 2:
         raise ValueError(f"need a grid of at least 2x2 cells, got {g.shape}")
     down = np.abs(np.diff(g, axis=0))
     right = np.abs(np.diff(g, axis=1))
-    i, j = np.unravel_index(np.argmax(down), down.shape)
-    i2, j2 = np.unravel_index(np.argmax(right), right.shape)
-    if down[i, j] >= right[i2, j2]:
-        return float(down[i, j]), ((int(i), int(j)), (int(i) + 1, int(j)))
-    return float(right[i2, j2]), ((int(i2), int(j2)), (int(i2), int(j2) + 1))
+    jumps = np.concatenate([down.ravel(), right.ravel()])
+    finite = np.isfinite(jumps)
+    if not finite.any():
+        return float("nan"), None
+    # Row-major over the downward pairs first, so ties resolve to them.
+    k = int(np.argmax(np.where(finite, jumps, -1.0)))
+    if k < down.size:
+        i, j = divmod(k, down.shape[1])
+        return float(jumps[k]), ((i, j), (i + 1, j))
+    i, j = divmod(k - down.size, right.shape[1])
+    return float(jumps[k]), ((i, j), (i, j + 1))
 
 
 def deutsch_rule_grid(eps_values=_DEFAULT_GRID, family: str = "mixed",
@@ -333,25 +336,11 @@ def _mat_json(m) -> dict:
     return {"real": np.real(a).tolist(), "imag": np.imag(a).tolist()}
 
 
-def counterexample_report() -> dict:
-    """Execute and collect the four results separating the selection rules.
-
-    (a) the period-3 cycle and its orbit average, (b) the bistability
-    table (two initial states, with and without noise), (c) the Kraus form
-    of the iterated-map limit with its completeness and non-commutation
-    numbers, and (d) the maximum-entropy choice against the vanishing-noise
-    limit of the closed form. JSON-serializable throughout.
-    """
-    g = gallery()
-    u1 = g["u1"].system()
-    u2 = g["u2"].system()
-    mm = maximally_mixed(4)
-
-    cyc = ralph_iterate(u1, mm)
-    cesaro = None
-    if cyc.status == "cycle":
-        cesaro = cyc.state
-    report_a = {
+def _cycle_section(cyc) -> dict:
+    """Section (a): the u1 orbit ``cyc`` from the maximally mixed state,
+    its period-3 cycle and the cycle's orbit average."""
+    cesaro = cyc.state if cyc.status == "cycle" else None
+    return {
         "status": cyc.status,
         "period": cyc.period,
         "cycle_states": [_mat_json(s) for s in (cyc.cycle_states or ())],
@@ -361,32 +350,44 @@ def counterexample_report() -> dict:
         "steps": cyc.steps,
     }
 
-    starts = [("maximally-mixed", mm),
+
+def _bistable_section(g) -> dict:
+    """Section (b): u2 from two initial states, with and without noise."""
+    starts = [("maximally-mixed", maximally_mixed(4)),
               ("orbit-average", np.diag([1 / 3, 0, 1 / 3, 1 / 3]).astype(complex))]
-    rows_b = []
+    rows = []
     for label, tau0 in starts:
         for p in (0.0, 0.01):
             out = ralph_iterate(g["u2"].system(p=p), tau0)
-            rows_b.append({
+            rows.append({
                 "tau0": label, "p": p, "status": out.status,
                 "entropy_bits": von_neumann_entropy(out.state),
                 "residual": out.residual, "steps": out.steps,
                 "state": _mat_json(out.state),
             })
+    return {"rows": rows}
 
-    lim = limit_superoperator(u2)
+
+def _kraus_section(g) -> dict:
+    """Section (c): Kraus form of u2's iterated-map limit, its completeness
+    and the reference set's non-commutation at the maximally mixed state."""
+    lim = limit_superoperator(g["u2"].system())
     extracted = kraus_from_choi(choi_matrix(lim))
     reference = limit_kraus_ops()
-    dist = channel_distance(lim, superoperator_from_kraus(reference))
-    report_c = {
+    return {
         "operator_count": len(extracted),
         "completeness_defect": kraus_completeness_defect(extracted),
-        "channel_distance_to_reference": dist,
-        "commutator_residual_mm": kraus_commutator_residual(reference, mm),
+        "channel_distance_to_reference":
+            channel_distance(lim, superoperator_from_kraus(reference)),
+        "commutator_residual_mm": kraus_commutator_residual(reference, maximally_mixed(4)),
         "operators": [_mat_json(e) for e in extracted],
     }
 
-    sel = max_entropy_fixed_state(u2)
+
+def _selection_section(g) -> dict:
+    """Section (d): u2's maximum-entropy choice against the vanishing-noise
+    limit of the closed form."""
+    sel = max_entropy_fixed_state(g["u2"].system())
     probes = []
     for p in (0.01, 1e-4, 1e-8):
         tau = ralph_closed_form(g["u2"].system(p=p))
@@ -394,7 +395,7 @@ def counterexample_report() -> dict:
                        "entropy_bits": von_neumann_entropy(tau),
                        "state": _mat_json(tau)})
     limit_state = np.diag([0.5, 0.0, 0.25, 0.25]).astype(complex)
-    report_d = {
+    return {
         "max_entropy_entropy_bits": sel.entropy_bits,
         "max_entropy_state": _mat_json(sel.state),
         "decohered_probes": probes,
@@ -406,8 +407,21 @@ def counterexample_report() -> dict:
                                 - von_neumann_entropy(limit_state)) < 1e-6),
     }
 
-    return {"cycle": report_a, "bistable": {"rows": rows_b},
-            "kraus": report_c, "selection": report_d}
+
+def counterexample_report() -> dict:
+    """Execute and collect the four results separating the selection rules.
+
+    (a) the period-3 cycle and its orbit average, (b) the bistability
+    table (two initial states, with and without noise), (c) the Kraus form
+    of the iterated-map limit with its completeness and non-commutation
+    numbers, and (d) the maximum-entropy choice against the vanishing-noise
+    limit of the closed form. JSON-serializable throughout.
+    """
+    g = gallery()
+    return {"cycle": _cycle_section(ralph_iterate(g["u1"].system(), maximally_mixed(4))),
+            "bistable": _bistable_section(g),
+            "kraus": _kraus_section(g),
+            "selection": _selection_section(g)}
 
 
 def _fmt_field(v) -> str:
@@ -431,19 +445,23 @@ def write_csv(rows, path) -> None:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def write_manifest(record: RunRecord, path) -> None:
-    """Write the run manifest: config echo, code version, wall time."""
-    doc = {
-        "experiment": record.experiment,
-        "config": record.config,
-        "version": _code_version(),
-        "wall_time_s": record.wall_time_s,
-        "row_count": len(record.rows),
-        "info": _json_safe(record.info),
-    }
+def _write_json(path, doc) -> None:
+    """Write ``doc`` as sorted, indented JSON with a trailing newline."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_manifest(record: RunRecord, path) -> None:
+    """Write the run manifest: config echo, code version, wall time."""
+    _write_json(path, {
+        "experiment": record.experiment,
+        "config": record.config,
+        "version": __version__,
+        "wall_time_s": record.wall_time_s,
+        "row_count": len(record.rows),
+        "info": _json_safe(record.info),
+    })
 
 
 def _json_safe(obj):

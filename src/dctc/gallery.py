@@ -28,7 +28,7 @@ import numpy as np
 
 from .channels import CtcSystem
 from .engines import fixed_subspace
-from .qmat import DimSplit
+from .qmat import DimSplit, hermitian_span
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -253,30 +253,19 @@ _TARGET_LABELS = {
 }
 
 
-def _span_projector(mats) -> np.ndarray:
-    vecs = []
-    for m in mats:
-        v = np.asarray(m, dtype=complex).reshape(-1)
-        for b in vecs:
-            v = v - (b.conj() @ v) * b
-        n = np.linalg.norm(v)
-        if n > 1e-10:
-            vecs.append(v / n)
-    p = np.zeros((4, 4), dtype=complex)
-    for b in vecs:
-        p += np.outer(b, b.conj())
-    return p
-
-
 def _classify_fixed_span(basis) -> str:
-    p = _span_projector(basis)
+    def projector(mats):
+        v = hermitian_span(mats).reshape(-1, 4)
+        return v.T @ v.conj()
+
+    p = projector(basis)
     targets = {
         "diagonal-family": [_unit(2, 0, 0), _unit(2, 1, 1)],
         "maximally-mixed-only": [np.eye(2, dtype=complex)],
         "ground-only": [_unit(2, 0, 0)],
     }
     for label, mats in targets.items():
-        if np.linalg.norm(p - _span_projector(mats)) < 1e-6:
+        if np.linalg.norm(p - projector(mats)) < 1e-6:
             return label
     return f"other(dim={len(basis)})"
 

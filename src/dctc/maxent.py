@@ -70,43 +70,33 @@ def entropy_gradient(rho) -> np.ndarray:
     return 0.5 * (g + g.conj().T)
 
 
-def _trace_zero_directions(subspace: FixedSubspace) -> list[np.ndarray]:
-    """Orthonormal basis of the traceless subspace of the fixed span."""
-    basis = list(subspace.basis)
-    if not basis:
-        return []
-    traces = np.array([float(np.real(np.trace(b))) for b in basis])
+def _trace_zero_directions(subspace: FixedSubspace) -> np.ndarray:
+    """Orthonormal basis of the traceless subspace of the fixed span, shape
+    ``(k, d, d)``.
+
+    The combinations are orthonormal as they stand: orthonormal coefficient
+    rows over the orthonormal ``FixedSubspace`` basis.
+    """
+    basis = np.array(subspace.basis)
+    traces = np.real(np.trace(basis, axis1=1, axis2=2))
     if np.abs(traces).max() < 1e-12:
         coeff_rows = np.eye(len(basis))
     else:
         # Null space of the 1 x m trace functional.
-        _, s, vh = np.linalg.svd(traces.reshape(1, -1))
-        coeff_rows = vh[1:]
-    dirs = []
-    for row in coeff_rows:
-        m = sum(c * b for c, b in zip(row, basis))
-        dirs.append(m)
-    out: list[np.ndarray] = []
-    for m in dirs:
-        v = m.astype(complex)
-        for _ in range(2):
-            for b in out:
-                v = v - np.real(np.trace(b.conj().T @ v)) * b
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-10:
-            out.append(0.5 * (v + v.conj().T) / norm)
-    return out
+        coeff_rows = np.linalg.svd(traces.reshape(1, -1))[2][1:]
+    return np.tensordot(coeff_rows, basis, axes=1)
+
+
+def _project(h: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Hilbert-Schmidt orthogonal projection onto orthonormal Hermitian ``dirs``."""
+    coeffs = np.real(np.einsum("kij,ij->k", dirs.conj(), h))
+    return np.tensordot(coeffs, dirs, axes=1)
 
 
 def project_affine(h, subspace: FixedSubspace) -> np.ndarray:
     """Project a Hermitian matrix onto the traceless directions of the
     fixed span (Hilbert-Schmidt orthogonal projection)."""
-    a = _as_square(h, "matrix")
-    dirs = _trace_zero_directions(subspace)
-    out = np.zeros_like(a)
-    for d in dirs:
-        out += np.real(np.trace(d.conj().T @ a)) * d
-    return out
+    return _project(_as_square(h, "matrix"), _trace_zero_directions(subspace))
 
 
 def _entropy_clamped(rho: np.ndarray) -> float:
@@ -138,14 +128,8 @@ def max_entropy_fixed_state(sys: CtcSystem, *, interior_eps: float = INTERIOR_EP
 
     dirs = _trace_zero_directions(subspace)
     mixed = maximally_mixed(d)
-    if not dirs:
+    if len(dirs) == 0:
         return MaxEntResult(anchor, _entropy_clamped(anchor), 0, 0.0)
-
-    def proj(g):
-        out = np.zeros_like(g)
-        for b in dirs:
-            out += np.real(np.trace(b.conj().T @ g)) * b
-        return out
 
     def reg(t):
         return (1.0 - interior_eps) * t + interior_eps * mixed
@@ -155,7 +139,7 @@ def max_entropy_fixed_state(sys: CtcSystem, *, interior_eps: float = INTERIOR_EP
     iterations = 0
     for iterations in range(1, max_iter + 1):
         g = entropy_gradient(reg(tau))
-        gp = proj(g)
+        gp = _project(g, dirs)
         kkt = float(np.linalg.norm(gp))
         if kkt < grad_tol:
             iterations -= 1

@@ -24,6 +24,7 @@ PSD_TOL = 1e-10
 UNITARY_TOL = 1e-10
 EIG_HERMITIAN_TOL = 1e-8
 ENTROPY_CLAMP = 1e-12
+SPAN_TOL = 1e-10
 
 _LOG2 = np.log(2.0)
 
@@ -164,6 +165,25 @@ def hermitian_eig(h, herm_tol: float = EIG_HERMITIAN_TOL):
         raise ValueError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
     return w, v
+
+
+def hermitian_span(mats) -> np.ndarray:
+    """Orthonormal basis of the real span of Hermitian matrices.
+
+    Orthonormal in the Hilbert-Schmidt inner product, which is real on
+    Hermitian matrices and so equals the Euclidean one on the stacked real
+    and imaginary parts of the flattened matrices; the basis is the right
+    singular vectors of that stack with singular value above ``SPAN_TOL``.
+    Returns an array of shape ``(k, d, d)``.
+    """
+    a = np.asarray(mats, dtype=complex)
+    flat = a.reshape(len(a), -1)
+    n = flat.shape[1]
+    _, s, vt = np.linalg.svd(np.concatenate([flat.real, flat.imag], axis=1),
+                             full_matrices=False)
+    rows = vt[s > SPAN_TOL]
+    basis = (rows[:, :n] + 1j * rows[:, n:]).reshape(-1, *a.shape[1:])
+    return 0.5 * (basis + basis.conj().transpose(0, 2, 1))
 
 
 def random_density(dim: int, seed: int) -> np.ndarray:

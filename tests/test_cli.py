@@ -94,6 +94,9 @@ def test_surface_deutsch(tmp_path, capsys):
     csv = _read_bytes(tmp_path / "surface.csv").decode().splitlines()
     assert len(csv) == 1 + 4
     assert all(line.split(",")[8] == "max-entropy" for line in csv[1:])
+    assert "0 NaN cells" in out
+    man = _read_json(tmp_path / "surface_manifest.json")
+    assert man["info"]["nan_cells"] == 0
 
 
 def test_surface_invalid_step(capsys):

@@ -8,7 +8,6 @@ from dctc.engines import (
     allen_cesaro,
     consistency_residual,
     deutsch_cesaro,
-    exceptional_p,
     fixed_subspace,
     limit_superoperator,
     ralph_closed_form,
@@ -257,20 +256,3 @@ def test_limit_superoperator_identity():
 def test_limit_superoperator_rejects_rotating_spectrum():
     with pytest.raises(ConvergenceError):
         limit_superoperator(gallery()["u1"].system())
-
-
-def test_exceptional_p_reports():
-    rep = exceptional_p(gallery()["u2"].system(p=0.01))
-    assert not rep.exceptional
-    assert rep.spectrum.shape == (16,)
-    assert rep.min_gap > 1e-3
-    assert "unit disk" in rep.note
-
-    rep = exceptional_p(gallery()["u1"].system(p=0.1))
-    assert not rep.exceptional
-    assert abs(rep.target - 1 / 0.9) < 1e-12
-
-    # at p = 0 the target sits at 1, which trace preservation guarantees
-    rep0 = exceptional_p(gallery()["u2"].system())
-    assert rep0.exceptional
-    assert rep0.target == 1.0

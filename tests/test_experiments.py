@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import dctc
 from dctc.engines import ralph_closed_form
 from dctc.experiments import (
     CONTINUITY_BUDGET,
@@ -154,6 +155,12 @@ def test_continuity_metric():
     jump, cells = continuity_metric(np.array([[0.0, 0.0], [1.0, 3.0]]))
     assert jump == 3.0
     assert cells == ((0, 1), (1, 1))
+    # NaN cells are skipped: the largest finite jump is 0.9, downward
+    jump, cells = continuity_metric(np.array([[0.0, 0.5], [0.9, np.nan]]))
+    assert jump == 0.9
+    assert cells == ((0, 0), (1, 0))
+    jump, cells = continuity_metric(np.full((2, 2), np.nan))
+    assert np.isnan(jump) and cells is None
     with pytest.raises(ValueError):
         continuity_metric(np.zeros((1, 3)))
     with pytest.raises(ValueError):
@@ -249,5 +256,6 @@ def test_write_manifest(tmp_path):
     assert doc["row_count"] == 4
     assert doc["config"]["p"] == 0.1
     assert isinstance(doc["version"], str)
+    assert doc["version"] == dctc.__version__
     assert doc["wall_time_s"] >= 0.0
     assert doc["info"]["cr_swap_symmetric"] is False
