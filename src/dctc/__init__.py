@@ -17,7 +17,7 @@ from .channels import (CtcSystem, apply_superoperator, channel_distance,
 from .engines import (ConvergenceError, EngineConfig, FixedSubspace,
                       IterationOutcome, allen_cesaro, consistency_residual,
                       deutsch_cesaro, fixed_subspace, limit_superoperator,
-                      ralph_closed_form, ralph_iterate)
+                      ralph_closed_form, ralph_iterate, ralph_iterate_many)
 from .maxent import (MaxEntResult, entropy_gradient, max_entropy_fixed_state,
                      project_affine)
 from .gallery import (DEFAULT_ORDERING, GallerySystem, KnownState, Ordering,

@@ -17,13 +17,21 @@ in the closed-timelike-curve literature:
   map, and the same fixed point from one linear solve of
   ``(Id - (1-p) M) vec(tau) = p vec(I/d)``.
 
-Cycle detection: a new iterate matching a window entry at lag T (trace
-distance below ``tol``) is declared a cycle only when the lag-1 motion is
-at least ``10 * tol`` and has not decayed over the last period (ratio of
-Frobenius motions >= 0.99). Without the guards, an alternating orbit that
-is merely converging (a negative real eigenvalue of the map) would be
-misreported as a period-2 cycle. Guards use Frobenius norms; the match
-itself uses trace distance.
+Two orbit drivers serve them:
+
+* ``_run_orbit``, the cycle scan: one state at a time, for the noiseless
+  map (``deutsch_cesaro``, and ``ralph_iterate`` at p = 0), where orbits
+  may cycle. A new iterate matching a window entry at lag T (trace
+  distance below ``tol``) is declared a cycle only when the lag-1 motion
+  is at least ``10 * tol`` and has not decayed over the last period (ratio
+  of Frobenius motions >= 0.99). Without the guards, an alternating orbit
+  that is merely converging (a negative real eigenvalue of the map) would
+  be misreported as a period-2 cycle. Guards use Frobenius norms; the match
+  itself uses trace distance.
+* ``ralph_iterate_many``, the contraction: every start of a p > 0 system
+  advances together as one stacked matvec per step, with no cycle scan
+  (a strict contraction has no nontrivial cycle). Each start stops, and
+  its row is computed, exactly as a lone run of the same start would.
 """
 
 from __future__ import annotations
@@ -121,14 +129,9 @@ class _OrbitResult:
 
 
 def _run_orbit(step, tau0: np.ndarray, cfg: EngineConfig,
-               mean_stop_map=None, scan_cycles: bool = True) -> _OrbitResult:
+               mean_stop_map=None) -> _OrbitResult:
     """Drive ``step`` from ``tau0`` until fixed point, cycle, mean
-    convergence (when ``mean_stop_map`` is given), or exhaustion.
-
-    ``scan_cycles=False`` turns the cycle scan off; callers use it when the
-    map is a strict contraction (depolarizing strength p > 0), where no
-    nontrivial cycle can exist.
-    """
+    convergence (when ``mean_stop_map`` is given), or exhaustion."""
     x = _sym(np.asarray(tau0, dtype=complex))
     mean = x.copy()
     window = [x]          # x_0 .. x_{n-1}, trimmed to cycle_window entries
@@ -144,7 +147,7 @@ def _run_orbit(step, tau0: np.ndarray, cfg: EngineConfig,
             return _OrbitResult("fixed", x_new, mean, n)
 
         # Cycle scan over lags 2..window, smallest lag wins.
-        if scan_cycles and 0.5 * d1_fro >= _CYCLE_GUARD * tol and len(window) >= 2:
+        if 0.5 * d1_fro >= _CYCLE_GUARD * tol and len(window) >= 2:
             stack = np.stack(window)
             fro = np.linalg.norm((stack - x_new).reshape(len(window), -1), axis=1)
             for lag in range(2, len(window) + 1):
@@ -172,25 +175,24 @@ def _run_orbit(step, tau0: np.ndarray, cfg: EngineConfig,
                 if resid < _CYCLE_GUARD * tol:
                     return _OrbitResult("mean", x_new, m_sym, n)
 
-        if scan_cycles:
-            window.append(x_new)
-            motions.append(d1_fro)
-            if len(window) > cfg.cycle_window:
-                window.pop(0)
-                motions.pop(0)
+        window.append(x_new)
+        motions.append(d1_fro)
+        if len(window) > cfg.cycle_window:
+            window.pop(0)
+            motions.pop(0)
         x = x_new
 
     return _OrbitResult("exhausted", x, _sym(mean), cfg.max_iter)
 
 
-def _linear_step(sys: CtcSystem, include_noise: bool):
-    """The loop map as one superoperator matvec per step.
+def _linear_step(sys: CtcSystem):
+    """The noiseless loop map as one superoperator matvec per step.
 
     Identical to conjugate-and-trace application up to rounding (they agree
     to machine precision) and an order of magnitude cheaper across the long
     orbits the experiments run.
     """
-    m = superoperator(sys, include_noise=include_noise)
+    m = superoperator(sys, include_noise=False)
     d = sys.d_cv
 
     def step(x):
@@ -201,21 +203,21 @@ def _linear_step(sys: CtcSystem, include_noise: bool):
 
 def _orbit_outcome(sys: CtcSystem, tau0, cfg: EngineConfig | None,
                    cesaro: bool) -> IterationOutcome:
-    """Run one picture's orbit from ``tau0`` and package the result.
+    """Run one noiseless orbit from ``tau0`` with the cycle scan and package
+    the result.
 
-    ``cesaro=False``: the noisy map at ``sys.p``, cycle scan only at p = 0;
-    a cycle keeps its "cycle" status with the cycle-closure defect as the
-    residual, and an exhausted run returns its last iterate.
-    ``cesaro=True``: the noiseless map with the running-mean stop; fixed
-    points, cycle means and settled running means are all "converged", and
-    an exhausted run returns the running mean. Other residuals are the
-    trace distance between the map's image of the state and the state.
+    ``cesaro=False`` (``ralph_iterate`` at p = 0): a cycle keeps its "cycle"
+    status with the cycle-closure defect as the residual, and an exhausted
+    run returns its last iterate.
+    ``cesaro=True``: the running-mean stop is on; fixed points, cycle means
+    and settled running means are all "converged", and an exhausted run
+    returns the running mean. Other residuals are the trace distance
+    between the map's image of the state and the state.
     """
     cfg = cfg or EngineConfig()
     t0 = _cv_state(sys, tau0)
-    step = _linear_step(sys, include_noise=not cesaro)
-    res = _run_orbit(step, t0, cfg, mean_stop_map=step if cesaro else None,
-                     scan_cycles=cesaro or sys.p == 0.0)
+    step = _linear_step(sys)
+    res = _run_orbit(step, t0, cfg, mean_stop_map=step if cesaro else None)
     cycle = res.cycle_states
     if res.kind == "cycle":
         state = _sym(sum(cycle) / len(cycle))
@@ -231,12 +233,108 @@ def _orbit_outcome(sys: CtcSystem, tau0, cfg: EngineConfig | None,
                             trace_distance(_sym(step(state)), state), cycle)
 
 
+def _trace_distances(diffs: np.ndarray, d: int) -> np.ndarray:
+    """``trace_distance`` for each row of ``diffs`` (shape (c, d*d)), the
+    vec of the difference of two exactly Hermitian operators.
+
+    Such a difference is exactly Hermitian, so Hermitizing it again changes
+    no bit; one ``eigvalsh`` over the (c, d, d) stack then gives each row
+    the bits ``trace_distance`` gives the pair.
+    """
+    w = np.linalg.eigvalsh(diffs.reshape(-1, d, d).transpose(0, 2, 1))
+    return 0.5 * np.abs(w).sum(-1)
+
+
+def ralph_iterate_many(sys: CtcSystem, tau0s,
+                       cfg: EngineConfig | None = None) -> list[IterationOutcome]:
+    """``ralph_iterate`` from each start in ``tau0s``, all advanced together
+    as one stacked matrix-vector product per step; requires ``sys.p > 0``.
+
+    A start stops at the first step whose iterate is within ``tol`` of the
+    previous one in trace distance, and leaves the stack there; one that
+    never does is "exhausted" after ``max_iter`` steps with its last
+    iterate. Each outcome is bit for bit the one for that start alone, so
+    it does not depend on which other starts share the call. No cycle scan
+    runs: a strict contraction has no nontrivial cycle.
+    """
+    if sys.p <= 0.0:
+        raise ValueError("ralph_iterate_many requires a system with p > 0")
+    cfg = cfg or EngineConfig()
+    starts = [_sym(_cv_state(sys, t)) for t in tau0s]
+    if not starts:
+        return []
+    d, tol = sys.d_cv, cfg.tol
+    m = superoperator(sys, include_noise=True)
+    # vec(X^H) = conj(vec(X)[perm])
+    perm = np.arange(d * d).reshape(d, d).T.ravel()
+    k = len(starts)
+    x = np.stack([t.reshape(-1, order="F") for t in starts])[:, :, None]
+    y, t = np.empty_like(x), np.empty_like(x)
+    fro2 = np.empty((k, 1, 1))
+    live = np.arange(k)  # start index of each stacked column
+    last = [None] * k
+    steps = [cfg.max_iter] * k
+    status = ["exhausted"] * k
+    # The lone run also stops only when 0.5 * ||diff||_F < tol. A traceless
+    # Hermitian difference has ||diff||_1 >= sqrt(2) ||diff||_F, so every
+    # column whose trace distance is below tol passes this prefilter with a
+    # factor sqrt(2) to spare: the trace distance alone decides a stop.
+    fro_bound = (2.0 * tol) ** 2
+    a = 0
+    for n in range(1, cfg.max_iter + 1):
+        if a != live.size:  # (re)build the views when the stack shrinks
+            a = live.size
+            x, y, t, fro2 = x[:a], y[:a], t[:a], fro2[:a]
+            f = t.view(float).reshape(a, 1, -1)
+            ft = f.transpose(0, 2, 1)
+        # y = _sym(step(x)), elementwise as the lone run computes it. On a
+        # (k, d*d, 1) stack numpy runs one matrix-vector product per start,
+        # which keeps the bits of the lone ``m @ vec``; the matrix product
+        # ``m @ X`` sums in another order and does not.
+        np.matmul(m, x, out=y)
+        np.take(y, perm, axis=1, out=t, mode="clip")
+        np.conjugate(t, out=t)
+        np.add(y, t, out=y)
+        np.multiply(y, 0.5, out=y)
+        np.subtract(y, x, out=t)
+        np.matmul(f, ft, out=fro2)
+        if fro2.min() < fro_bound:
+            near = np.flatnonzero(fro2 < fro_bound)
+            done = near[_trace_distances(t[near, :, 0], d) < tol]
+            if done.size:
+                for c in done:
+                    i = live[c]
+                    last[i], steps[i], status[i] = y[c, :, 0].copy(), n, "converged"
+                keep = np.ones(a, dtype=bool)
+                keep[done] = False
+                live = live[keep]
+                if not live.size:
+                    break
+                np.compress(keep, y, axis=0, out=x[:live.size])
+                continue
+        x, y = y, x
+    for c, i in enumerate(live):
+        last[i] = x[c, :, 0].copy()
+    # Residual: trace distance between the noisy map's image of each final
+    # state and the state, as ``_orbit_outcome`` computes it.
+    fin = np.stack(last)[:, :, None]
+    img = np.matmul(m, fin)
+    img = 0.5 * (img + img[:, perm].conj())
+    resid = _trace_distances((img - fin)[:, :, 0], d)
+    return [IterationOutcome(status[i], np.ascontiguousarray(last[i].reshape(d, d).T),
+                             steps[i], float(resid[i]))
+            for i in range(k)]
+
+
 def ralph_iterate(sys: CtcSystem, tau0, cfg: EngineConfig | None = None) -> IterationOutcome:
     """Iterate the noisy map ``tau -> (1-p) D(tau) + p I/d`` from ``tau0``.
 
     With ``p = 0`` this is plain iteration of the loop map; orbits may then
     land on a cycle, reported with the cycle's Cesaro mean as the state.
+    With ``p > 0`` it is ``ralph_iterate_many`` on the one start.
     """
+    if sys.p > 0.0:
+        return ralph_iterate_many(sys, [tau0], cfg)[0]
     return _orbit_outcome(sys, tau0, cfg, cesaro=False)
 
 

@@ -32,7 +32,7 @@ from .channels import (channel_distance, choi_matrix,
                        kraus_commutator_residual, kraus_completeness_defect,
                        kraus_from_choi, noisy_cv_map, superoperator_from_kraus)
 from .engines import (ConvergenceError, EngineConfig, limit_superoperator,
-                      ralph_closed_form, ralph_iterate)
+                      ralph_closed_form, ralph_iterate, ralph_iterate_many)
 from .gallery import (cr_eps, cr_mixed, cr_pure, cr_swap_symmetric, gallery,
                       limit_kraus_ops)
 from .maxent import max_entropy_fixed_state
@@ -188,12 +188,15 @@ def run_fig2(cfg: Fig2Config, *, jobs: int = 1, inject=None) -> RunRecord:
     Each task is one (s, initial state) pair; its initial CV state is
     drawn from the Ginibre ensemble with the task's derived seed, then
     iterated once per configured noise strength (same initial state for
-    all of them). Cycle outcomes carry the cycle-average entropy and keep
-    their "cycle" status tag.
+    all of them). The work is split into (s, p) cells: a p > 0 cell runs
+    all its starts in one ``ralph_iterate_many`` call, a p = 0 cell runs
+    ``ralph_iterate`` per start. Cycle outcomes carry the cycle-average
+    entropy and keep their "cycle" status tag.
 
     ``inject`` optionally maps a task index to an explicit initial state
     that replaces the seeded draw for that task; the seed column still
-    records the derived seed. ``jobs`` sets thread-level parallelism and
+    records the derived seed. An index outside the sweep's tasks raises
+    ``ValueError``. ``jobs`` sets thread-level parallelism over cells and
     never affects the output rows.
     """
     t_start = time.monotonic()
@@ -201,31 +204,32 @@ def run_fig2(cfg: Fig2Config, *, jobs: int = 1, inject=None) -> RunRecord:
     d = sysdef.split.d_cv
     ecfg = EngineConfig(max_iter=cfg.max_iter)
     inject = {} if inject is None else dict(inject)
+    n_tasks = len(cfg.s_values) * cfg.n_random
+    for task in inject:
+        if task not in range(n_tasks):
+            raise ValueError(f"inject task index {task!r} outside range({n_tasks})")
 
-    systems = {(s, p): sysdef.system(rho_cr=_cr_qubit(cfg.family, s), p=p)
-               for s in cfg.s_values for p in cfg.p_values}
+    seeds = [derive_seed(cfg.master_seed, task) for task in range(n_tasks)]
+    starts = [inject[task] if task in inject else random_density(d, seeds[task])
+              for task in range(n_tasks)]
 
-    tasks = [(si, ri) for si in range(len(cfg.s_values))
-             for ri in range(cfg.n_random)]
-
-    def worker(t):
-        si, ri = t
-        task = si * cfg.n_random + ri
-        seed = derive_seed(cfg.master_seed, task)
+    def worker(cell):
+        si, p = cell
         s = cfg.s_values[si]
-        tau0 = inject.get(task)
-        if tau0 is None:
-            tau0 = random_density(d, seed)
-        rows = []
-        for p in cfg.p_values:
-            out = ralph_iterate(systems[(s, p)], tau0, ecfg)
-            rows.append(RunRow("fig2", cfg.family, s, None, None, p, task,
-                               seed, out.status,
-                               von_neumann_entropy(out.state),
-                               out.residual, out.steps))
-        return rows
+        sys = sysdef.system(rho_cr=_cr_qubit(cfg.family, s), p=p)
+        tasks = range(si * cfg.n_random, (si + 1) * cfg.n_random)
+        cell_starts = [starts[task] for task in tasks]
+        if p > 0.0:
+            outs = ralph_iterate_many(sys, cell_starts, ecfg)
+        else:
+            outs = [ralph_iterate(sys, tau0, ecfg) for tau0 in cell_starts]
+        return [RunRow("fig2", cfg.family, s, None, None, p, task, seeds[task],
+                       out.status, von_neumann_entropy(out.state),
+                       out.residual, out.steps)
+                for task, out in zip(tasks, outs)]
 
-    chunks = _run_tasks(worker, tasks, jobs)
+    cells = [(si, p) for si in range(len(cfg.s_values)) for p in cfg.p_values]
+    chunks = _run_tasks(worker, cells, jobs)
     rows = sorted((r for ch in chunks for r in ch),
                   key=lambda r: (r.task, r.p))
     return RunRecord("fig2", asdict(cfg), tuple(rows),

@@ -255,24 +255,16 @@ def test_kraus_commutator_residual():
     assert kraus_commutator_residual(diag_set, tau) < 1e-15
 
 
-def _haar(n, rng):
-    """Haar-random unitary: QR of a Ginibre matrix with the phases of R's
-    diagonal moved into Q."""
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 @pytest.mark.parametrize("p", [0.0, 0.05])
 @pytest.mark.parametrize("d_cr,d_cv", [(2, 2), (3, 2), (2, 3), (4, 3)])
-def test_superoperator_haar_properties(d_cr, d_cv, p):
+def test_superoperator_haar_properties(d_cr, d_cv, p, haar):
     # Dense random circuits, unlike the gallery's permutations, catch a
     # swapped index in the superoperator's einsum.
     rng = np.random.default_rng(10 * d_cr + d_cv)
     split = DimSplit(d_cr, d_cv)
     ident = vec(np.eye(d_cv))
     for k in range(3):
-        sys = CtcSystem(_haar(split.total, rng), random_density(d_cr, 50 + k),
+        sys = CtcSystem(haar(split.total, rng), random_density(d_cr, 50 + k),
                         split, p)
         m = superoperator(sys, include_noise=True)
         for j in range(3):

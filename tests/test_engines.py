@@ -12,6 +12,7 @@ from dctc.engines import (
     limit_superoperator,
     ralph_closed_form,
     ralph_iterate,
+    ralph_iterate_many,
 )
 from dctc.gallery import gallery
 from dctc.qmat import DimSplit, maximally_mixed, random_density, trace_distance
@@ -256,3 +257,75 @@ def test_limit_superoperator_identity():
 def test_limit_superoperator_rejects_rotating_spectrum():
     with pytest.raises(ConvergenceError):
         limit_superoperator(gallery()["u1"].system())
+
+
+def _lone_noisy_orbit(sys, tau0, cfg):
+    """Reference: the noisy orbit of one state, one matvec per step, stopped
+    when successive iterates are within ``tol`` in trace distance."""
+    m = superoperator(sys, include_noise=True)
+    d = sys.d_cv
+
+    def image(x):
+        y = (m @ x.reshape(-1, order="F")).reshape(d, d, order="F")
+        return 0.5 * (y + y.conj().T)
+
+    x = 0.5 * (tau0 + tau0.conj().T)
+    status, steps = "exhausted", cfg.max_iter
+    for n in range(1, cfg.max_iter + 1):
+        y = image(x)
+        if 0.5 * np.linalg.norm(y - x) < cfg.tol and trace_distance(y, x) < cfg.tol:
+            x, status, steps = y, "converged", n
+            break
+        x = y
+    return status, steps, trace_distance(image(x), x), x
+
+
+def _same_outcome(a, b):
+    return (a.status == b.status and a.steps == b.steps
+            and a.residual == b.residual and np.array_equal(a.state, b.state))
+
+
+@pytest.mark.parametrize("p", [0.05, 0.3])
+@pytest.mark.parametrize("d_cr,d_cv", [(2, 2), (3, 2), (2, 3), (4, 3)])
+def test_ralph_iterate_many_batch_independence(d_cr, d_cv, p, haar):
+    """Each start's outcome is bit for bit its lone run's, whatever else
+    shares the batch and in whatever order."""
+    rng = np.random.default_rng(1000 * d_cr + 10 * d_cv + int(100 * p))
+    sys = CtcSystem(haar(d_cr * d_cv, rng), random_density(d_cr, 60 + d_cv),
+                    DimSplit(d_cr, d_cv), p=p)
+    starts = [random_density(d_cv, 900 + k) for k in range(6)]
+    cfg = EngineConfig()
+    outs = ralph_iterate_many(sys, starts, cfg)
+    backwards = ralph_iterate_many(sys, starts[::-1], cfg)[::-1]
+    closed = ralph_closed_form(sys)
+    assert len(outs) == len(starts)
+    for tau0, out, rev in zip(starts, outs, backwards):
+        assert out.status != "cycle"
+        assert _same_outcome(out, ralph_iterate(sys, tau0, cfg))
+        assert _same_outcome(out, rev)
+        status, steps, resid, state = _lone_noisy_orbit(sys, tau0, cfg)
+        assert (out.status, out.steps, out.residual) == (status, steps, resid)
+        assert np.array_equal(out.state, state)
+        assert np.abs(out.state - closed).max() < 1e-8
+
+
+def test_ralph_iterate_many_mixed_endings():
+    """A start at the fixed point, starts that converge and starts that run
+    out of steps share one batch; each matches its lone run."""
+    sys = gallery()["u2"].system(p=0.01)
+    fixed = ralph_closed_form(sys)
+    starts = [random_density(4, 40 + k) for k in range(5)]
+    starts.insert(2, fixed)
+    full = [ralph_iterate(sys, t).steps for t in starts]
+    cfg = EngineConfig(max_iter=sorted(full)[3])
+    outs = ralph_iterate_many(sys, starts, cfg)
+    statuses = [out.status for out in outs]
+    assert outs[2].status == "converged" and outs[2].steps == 1
+    assert "converged" in statuses[:2] + statuses[3:] and "exhausted" in statuses
+    for tau0, out in zip(starts, outs):
+        assert _same_outcome(out, ralph_iterate(sys, tau0, cfg))
+        if out.status == "exhausted":
+            assert out.steps == cfg.max_iter
+    assert ralph_iterate_many(sys, []) == []
+    with pytest.raises(ValueError):
+        ralph_iterate_many(gallery()["u2"].system(), starts)

@@ -89,6 +89,10 @@ def test_run_fig2_injection():
     assert r0[0].entropy_bits > r0[1].entropy_bits + 0.01
     # the seed column still records the derived seed for injected tasks
     assert r0[0].seed == derive_seed(1, 0)
+    # an index naming no task of the sweep is an error, not a no-op
+    for bad in (2, 7, -1):
+        with pytest.raises(ValueError, match=f"inject task index {bad} "):
+            run_fig2(cfg, inject={0: FLAT, bad: FLAT})
 
 
 def test_run_fig2_cycle_rows():
