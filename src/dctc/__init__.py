@@ -20,11 +20,10 @@ from .engines import (ConvergenceError, EngineConfig, FixedSubspace,
                       ralph_closed_form, ralph_iterate, ralph_iterate_many)
 from .maxent import (MaxEntResult, entropy_gradient, max_entropy_fixed_state,
                      project_affine)
-from .gallery import (DEFAULT_ORDERING, GallerySystem, KnownState, Ordering,
-                      OrderingResolution, bistable_unitary, cr_eps, cr_mixed,
-                      cr_pure, cr_swap_symmetric, cycling_unitary,
+from .gallery import (GallerySystem, KnownState, bistable_unitary, cr_eps,
+                      cr_mixed, cr_pure, cr_swap_symmetric, cycling_unitary,
                       discontinuity_unitary, gallery, known_states,
-                      limit_kraus_ops, resolve_three_qubit_ordering)
+                      limit_kraus_ops)
 from .experiments import (CONTINUITY_BUDGET, Fig2Config, Fig3Config, RunRecord,
                           RunRow, continuity_metric, counterexample_report,
                           derive_seed, deutsch_rule_grid, run_fig2, run_fig3,

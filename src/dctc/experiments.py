@@ -408,8 +408,8 @@ def _selection_section(g) -> dict:
         "decohered_probes": probes,
         "decohered_limit_state": _mat_json(limit_state),
         "decohered_limit_entropy_bits": von_neumann_entropy(limit_state),
-        "limit_distance_at_p_1e-8": trace_distance(
-            ralph_closed_form(g["u2"].system(p=1e-8)), limit_state),
+        # ``tau`` is the last probe's state, the p = 1e-8 solve
+        "limit_distance_at_p_1e-8": trace_distance(tau, limit_state),
         "rules_agree": bool(abs(sel.entropy_bits
                                 - von_neumann_entropy(limit_state)) < 1e-6),
     }

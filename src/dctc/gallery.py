@@ -14,9 +14,10 @@ short identifiers the command line uses:
   qubit) whose consistent-state set changes abruptly with the CR input,
   the discontinuity example.
 
-The ``u3`` source description leaves the tensor-slot conventions implicit;
-``resolve_three_qubit_ordering`` brute-forces all eight readings against
-the three documented fixed sets and reports the pinned choice.
+The ``u3`` kets ``|alpha beta cv>`` are binary joint indices in CR-major
+order; under this reading CR input A (``|0><0| (x) diag(1-eps, eps)``)
+fixes only ``I/2`` and B (``|00><00|``) the diagonal family, the reverse
+of their documented labels, while C fixes the CV ground state as stated.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import CtcSystem
-from .engines import fixed_subspace
-from .qmat import DimSplit, hermitian_span
+from .qmat import DimSplit
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -79,54 +79,13 @@ def bistable_unitary() -> np.ndarray:
     return _unitary_from_terms(8, terms)
 
 
-@dataclass(frozen=True)
-class Ordering:
-    """How the three-qubit ket strings map onto the CR x CV factorization.
-
-    cv_slot : "last" reads ``|x y c>`` with CV char last, "first" reads
-        ``|c x y>``
-    cr_order : "ab" puts the alpha qubit in the leading CR char, "ba" the
-        beta qubit
-    rho_index : "ket0" reads a stated unit (1,1) population as
-        ``<0|rho|0>``, "ket1" as ``<1|rho|1>``
-    """
-
-    cv_slot: str = "last"
-    cr_order: str = "ab"
-    rho_index: str = "ket0"
-
-    def __post_init__(self):
-        if self.cv_slot not in ("last", "first"):
-            raise ValueError(f"cv_slot must be 'last' or 'first', got {self.cv_slot!r}")
-        if self.cr_order not in ("ab", "ba"):
-            raise ValueError(f"cr_order must be 'ab' or 'ba', got {self.cr_order!r}")
-        if self.rho_index not in ("ket0", "ket1"):
-            raise ValueError(f"rho_index must be 'ket0' or 'ket1', got {self.rho_index!r}")
-
-
-DEFAULT_ORDERING = Ordering()
-
-_THREE_QUBIT_PAIRS = [("000", "100"), ("001", "001"), ("010", "011"),
-                      ("011", "010"), ("100", "000"), ("101", "110"),
-                      ("110", "101"), ("111", "111")]
-
-
-def _three_qubit_index(ket: str, ordering: Ordering) -> int:
-    if ordering.cv_slot == "last":
-        x, y, c = ket
-    else:
-        c, x, y = ket
-    a, b = (x, y) if ordering.cr_order == "ab" else (y, x)
-    return (2 * int(a) + int(b)) * 2 + int(c)
-
-
-def discontinuity_unitary(ordering: Ordering = DEFAULT_ORDERING) -> np.ndarray:
+def discontinuity_unitary() -> np.ndarray:
     """8x8 permutation (CR = qubits alpha, beta; CV = one qubit) whose
-    consistent set jumps between CR inputs; slot conventions per
-    ``ordering`` (see ``resolve_three_qubit_ordering``)."""
-    terms = [(_three_qubit_index(o, ordering), _three_qubit_index(i, ordering), 1.0)
-             for o, i in _THREE_QUBIT_PAIRS]
-    return _unitary_from_terms(8, terms)
+    consistent set jumps between CR inputs; the ket ``|alpha beta cv>``
+    is the joint index ``int("<alpha><beta><cv>", 2)``."""
+    pairs = [("000", "100"), ("001", "001"), ("010", "011"), ("011", "010"),
+             ("100", "000"), ("101", "110"), ("110", "101"), ("111", "111")]
+    return _unitary_from_terms(8, [(int(o, 2), int(i, 2), 1.0) for o, i in pairs])
 
 
 def cr_mixed(s: float) -> np.ndarray:
@@ -191,7 +150,9 @@ def gallery() -> dict[str, GallerySystem]:
         "u3": GallerySystem(
             "u3", DimSplit(4, 2), discontinuity_unitary(), ket00,
             "three-qubit permutation whose consistent set jumps with the CR "
-            "input; see resolve_three_qubit_ordering"),
+            "input; kets |alpha beta cv> are binary joint indices, under "
+            "which the documented fixed sets of inputs A and B come out "
+            "swapped"),
     }
 
 
@@ -242,132 +203,3 @@ def cr_swap_symmetric(u, split: DimSplit = DimSplit(4, 2)) -> bool:
             s[2 * b + a, 2 * a + b] = 1.0
     full = np.kron(s, np.eye(split.d_cv))
     return bool(np.abs(full @ np.asarray(u) @ full.T - np.asarray(u)).max() < 1e-12)
-
-
-# --- ordering resolution for the three-qubit circuit ---------------------
-
-_TARGET_LABELS = {
-    "diagonal-family": "all CV states with vanishing off-diagonal coherence",
-    "maximally-mixed-only": "only the maximally mixed CV state",
-    "ground-only": "only the CV ket-0 projector",
-}
-
-
-def _classify_fixed_span(basis) -> str:
-    def projector(mats):
-        v = hermitian_span(mats).reshape(-1, 4)
-        return v.T @ v.conj()
-
-    p = projector(basis)
-    targets = {
-        "diagonal-family": [_unit(2, 0, 0), _unit(2, 1, 1)],
-        "maximally-mixed-only": [np.eye(2, dtype=complex)],
-        "ground-only": [_unit(2, 0, 0)],
-    }
-    for label, mats in targets.items():
-        if np.linalg.norm(p - projector(mats)) < 1e-6:
-            return label
-    return f"other(dim={len(basis)})"
-
-
-@dataclass(frozen=True)
-class OrderingCase:
-    ordering: Ordering
-    rejected: bool
-    score: int
-    labels: dict
-
-
-@dataclass(frozen=True)
-class OrderingResolution:
-    chosen: Ordering
-    exact_match: bool
-    cases: tuple[OrderingCase, ...]
-    report: str
-
-
-def _case_inputs(ordering: Ordering, eps: float):
-    if ordering.rho_index == "ket0":
-        full = np.diag([1.0, 0.0]).astype(complex)
-        mix = np.diag([1.0 - eps, eps]).astype(complex)
-    else:
-        full = np.diag([0.0, 1.0]).astype(complex)
-        mix = np.diag([eps, 1.0 - eps]).astype(complex)
-    ket0 = np.diag([1.0, 0.0]).astype(complex)
-    return {
-        "A": (full, mix),
-        "B": (ket0, ket0),
-        "C": (mix, full),
-    }
-
-
-_STATED_SETS = {"A": "diagonal-family", "B": "maximally-mixed-only", "C": "ground-only"}
-
-
-def resolve_three_qubit_ordering(eps: float = 0.1,
-                                 report_path: str | None = None) -> OrderingResolution:
-    """Brute-force the eight slot/index readings of the three-qubit circuit.
-
-    For each reading, the fixed-operator span of the three documented CR
-    inputs (cases A, B, C) is computed and classified. Readings whose case
-    C does not pin the CV ket-0 projector are rejected outright; among the
-    rest the one matching the most documented fixed sets wins, ties going
-    to the pinned default. The plain-text report lists every reading and
-    records any remaining discrepancy instead of reconciling it.
-    """
-    split = DimSplit(4, 2)
-    orderings = [Ordering(cv, co, ri)
-                 for cv in ("last", "first")
-                 for co in ("ab", "ba")
-                 for ri in ("ket0", "ket1")]
-    # Evaluate the pinned default first so ties resolve to it.
-    orderings.sort(key=lambda o: o != DEFAULT_ORDERING)
-
-    cases: list[OrderingCase] = []
-    for ordering in orderings:
-        u = discontinuity_unitary(ordering)
-        labels = {}
-        for case, (rho_a, rho_b) in _case_inputs(ordering, eps).items():
-            sys = CtcSystem(u, np.kron(rho_a, rho_b), split, 0.0)
-            labels[case] = _classify_fixed_span(list(fixed_subspace(sys).basis))
-        rejected = labels["C"] != _STATED_SETS["C"]
-        score = sum(labels[c] == _STATED_SETS[c] for c in "ABC")
-        cases.append(OrderingCase(ordering, rejected, score, labels))
-
-    viable = [c for c in cases if not c.rejected]
-    if not viable:
-        raise RuntimeError("every slot/index reading fails the case-C check")
-    chosen_case = max(viable, key=lambda c: c.score)
-    chosen = chosen_case.ordering
-    exact = chosen_case.score == 3
-
-    lines = ["Three-qubit circuit: slot and index reading resolution",
-             "=" * 54, "",
-             f"Probe population eps = {eps}",
-             "Documented fixed sets: A -> diagonal family, "
-             "B -> maximally mixed only, C -> ket-0 projector only", ""]
-    for c in cases:
-        o = c.ordering
-        tag = "REJECTED (case C mismatch)" if c.rejected else f"score {c.score}/3"
-        lines.append(f"cv_slot={o.cv_slot:<5} cr_order={o.cr_order} "
-                     f"rho_index={o.rho_index}: {tag}")
-        for case in "ABC":
-            mark = "match" if c.labels[case] == _STATED_SETS[case] else "differs"
-            lines.append(f"    case {case}: {c.labels[case]} ({mark})")
-    lines += ["",
-              f"Chosen reading: cv_slot={chosen.cv_slot}, cr_order={chosen.cr_order}, "
-              f"rho_index={chosen.rho_index} (score {chosen_case.score}/3)"]
-    if not exact:
-        lines += [
-            "",
-            "Discrepancy: under the chosen reading the computed case-A set is "
-            f"'{chosen_case.labels['A']}' and the computed case-B set is "
-            f"'{chosen_case.labels['B']}'; the documented labels attach those "
-            "two sets the other way around. Case C matches exactly. The "
-            "brute-force result is reported as found and not reconciled.",
-        ]
-    report = "\n".join(lines) + "\n"
-    if report_path is not None:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(report)
-    return OrderingResolution(chosen, exact, tuple(cases), report)

@@ -47,7 +47,7 @@ class MaxEntResult:
     """Outcome of the entropy maximization.
 
     state : the maximum-entropy consistent state
-    entropy_bits : its von Neumann entropy
+    entropy_bits : its von Neumann entropy, ``+0.0`` for a pure state
     iterations : gradient-ascent steps taken (0 when the set is a point)
     kkt_residual : Frobenius norm of the final projected gradient
     """
@@ -149,4 +149,5 @@ def max_entropy_fixed_state(sys: CtcSystem, *, grad_tol: float = GRAD_TOL,
         tau, entropy = tau + alpha * gp, sc
 
     state = v @ tau @ v.conj().T
-    return MaxEntResult(0.5 * (state + state.conj().T), entropy, iterations, kkt)
+    return MaxEntResult(0.5 * (state + state.conj().T),
+                        0.0 if entropy <= 0.0 else entropy, iterations, kkt)

@@ -133,13 +133,16 @@ def partial_trace(m, split: DimSplit, keep: str = "cv") -> np.ndarray:
 def von_neumann_entropy(rho) -> float:
     """Von Neumann entropy in bits, ``-sum(lam * log2(lam))``.
 
-    Eigenvalues below the clamp threshold ``1e-12`` are treated as zero.
-    The input must pass ``check_density``.
+    Eigenvalues below the clamp threshold ``1e-12`` are treated as zero,
+    and a sum at or below zero (a pure state, whose eigenvalue may round to
+    ``1 + 2.2e-16``) is reported as ``+0.0``. The input must pass
+    ``check_density``.
     """
     a = check_density(rho)
     w = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
     w = w[w > ENTROPY_CLAMP]
-    return float(-(w * np.log(w)).sum() / _LOG2)
+    s = float(-(w * np.log(w)).sum() / _LOG2)
+    return 0.0 if s <= 0.0 else s
 
 
 def trace_distance(a, b) -> float:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -221,6 +222,8 @@ def test_deutsch_rule_edge_populations(family):
     answer consistent, and every answer the qubit reference's."""
     grid = deutsch_rule_grid(EDGE, family=family)
     assert not np.isnan(grid).any()
+    # no cell is negative or -0.0, pure answers included
+    assert all(math.copysign(1.0, x) == 1.0 for x in grid.flat)
     cliff, outside, decided = set(), set(), set()
     for i, ea in enumerate(EDGE):
         for j, eb in enumerate(EDGE):

@@ -1,13 +1,9 @@
-import os
-
 import numpy as np
 import pytest
 
 from dctc.channels import CtcSystem, cv_map
 from dctc.engines import consistency_residual, fixed_subspace
 from dctc.gallery import (
-    DEFAULT_ORDERING,
-    Ordering,
     bistable_unitary,
     cr_eps,
     cr_mixed,
@@ -18,7 +14,6 @@ from dctc.gallery import (
     gallery,
     known_states,
     limit_kraus_ops,
-    resolve_three_qubit_ordering,
 )
 from dctc.maxent import max_entropy_fixed_state
 from dctc.qmat import (
@@ -78,26 +73,50 @@ def test_discontinuity_unitary_is_a_permutation():
     u = discontinuity_unitary()
     assert set(np.unique(np.abs(u))) == {0.0, 1.0}
     assert (np.abs(u).sum(axis=0) == 1.0).all()
+    # kets |alpha beta cv>, read as binary numbers, are the joint indices;
+    # the map reads input ket -> output ket
+    pairs = [("000", "100"), ("001", "001"), ("010", "011"), ("011", "010"),
+             ("100", "000"), ("101", "110"), ("110", "101"), ("111", "111")]
+    for o, i in pairs:
+        assert u[int(o, 2), int(i, 2)] == 1.0
+
+
+def _span_projector(mats):
+    q = np.linalg.qr(np.array([np.asarray(m).reshape(-1) for m in mats]).T)[0]
+    return q @ q.conj().T
 
 
 def test_discontinuity_fixed_sets_by_input():
+    """The three documented CR inputs at eps = 0.1. Cases A and B fix the
+    sets documented for each other (the recorded label swap)."""
     g = gallery()["u3"]
     ket0 = np.diag([1.0, 0.0]).astype(complex)
+    ket1 = np.diag([0.0, 1.0]).astype(complex)
     mix = np.diag([0.9, 0.1]).astype(complex)
 
-    # nearly-|0> alpha with exactly-|0> beta pins the CV ground state
+    # case A: exactly-|0> alpha with nearly-|0> beta fixes only I/2
+    sub = fixed_subspace(g.system(rho_cr=np.kron(ket0, mix)))
+    assert sub.dim == 1
+    assert np.abs(_span_projector(sub.basis)
+                  - _span_projector([np.eye(2)])).max() < 1e-8
+
+    # case B: both CR qubits at |0> fix every diagonal CV state, and the
+    # entropy-maximizing choice is the maximally mixed one
+    sys = g.system(rho_cr=np.kron(ket0, ket0))
+    sub = fixed_subspace(sys)
+    assert sub.dim == 2
+    assert np.abs(_span_projector(sub.basis)
+                  - _span_projector([ket0, ket1])).max() < 1e-8
+    res = max_entropy_fixed_state(sys)
+    assert np.abs(res.state - maximally_mixed(2)).max() < 1e-6
+
+    # case C: nearly-|0> alpha with exactly-|0> beta pins the CV ground state
     sys = g.system(rho_cr=np.kron(mix, ket0))
     sub = fixed_subspace(sys)
     assert sub.dim == 1
     b = sub.basis[0]
     b = b / np.trace(b)
     assert np.abs(b - ket0).max() < 1e-8
-
-    # both CR qubits at |0>: every diagonal CV state is consistent and the
-    # entropy-maximizing choice is the maximally mixed one
-    sys = g.system(rho_cr=np.kron(ket0, ket0))
-    res = max_entropy_fixed_state(sys)
-    assert np.abs(res.state - maximally_mixed(2)).max() < 1e-6
 
 
 def test_cr_mixed():
@@ -190,33 +209,3 @@ def test_gallery_structure():
     override = np.diag([0.4, 0.6]).astype(complex)
     assert np.abs(g["u2"].system(rho_cr=override).rho_cr - override).max() == 0.0
 
-
-def test_ordering_resolution(tmp_path):
-    """All eight slot/index readings are scored; the pinned default wins."""
-    path = os.path.join(tmp_path, "ordering_report.txt")
-    res = resolve_three_qubit_ordering(report_path=path)
-    assert res.chosen == DEFAULT_ORDERING
-    assert len(res.cases) == 8
-    assert not res.exact_match  # two case labels stay swapped, documented
-    chosen_case = next(c for c in res.cases if c.ordering == res.chosen)
-    assert not chosen_case.rejected
-    assert chosen_case.labels["C"] == "ground-only"
-    assert chosen_case.labels["A"] == "maximally-mixed-only"
-    assert chosen_case.labels["B"] == "diagonal-family"
-    # every reading that misses the ground-state pin is rejected
-    for c in res.cases:
-        assert c.rejected == (c.labels["C"] != "ground-only")
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    assert text == res.report
-    assert "REJECTED" in text
-    assert "Discrepancy" in text
-    for field in ("cv_slot", "cr_order", "rho_index"):
-        assert field in text
-
-
-def test_ordering_constructor_validation():
-    with pytest.raises(ValueError):
-        Ordering(cv_slot="middle")
-    with pytest.raises(ValueError):
-        Ordering(cr_order="xy")

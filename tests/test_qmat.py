@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,11 @@ def test_entropy_clamps_tiny_negative_eigenvalues():
     s = von_neumann_entropy(rho)
     assert np.isfinite(s)
     assert abs(s) < 1e-8
+    # a pure state reads +0.0, also when its eigenvalue rounds above 1
+    for top in (1.0 + 2.0 ** -52, 1.0):
+        s = von_neumann_entropy(np.diag([top, 0.0]).astype(complex))
+        assert s >= 0.0
+        assert math.copysign(1.0, s) == 1.0
 
 
 def test_entropy_unitary_invariance():
