@@ -6,9 +6,9 @@ the batch experiments built on top of them.
 
 __version__ = "0.1.0"
 
-from .qmat import (DimSplit, check_density, check_unitary, hermitian_eig,
-                   is_density, maximally_mixed, partial_trace, random_density,
-                   tensor, trace_distance, von_neumann_entropy)
+from .qmat import (DimSplit, check_density, check_unitary, maximally_mixed,
+                   partial_trace, random_density, tensor, trace_distance,
+                   von_neumann_entropy)
 from .channels import (CtcSystem, apply_superoperator, channel_distance,
                        choi_matrix, cr_output, cv_map, depolarize, kraus_apply,
                        kraus_commutator_residual, kraus_completeness_defect,
@@ -18,12 +18,10 @@ from .engines import (ConvergenceError, EngineConfig, FixedSubspace,
                       IterationOutcome, allen_cesaro, consistency_residual,
                       deutsch_cesaro, fixed_subspace, limit_superoperator,
                       ralph_closed_form, ralph_iterate, ralph_iterate_many)
-from .maxent import (MaxEntResult, entropy_gradient, max_entropy_fixed_state,
-                     project_affine)
-from .gallery import (GallerySystem, KnownState, bistable_unitary, cr_eps,
-                      cr_mixed, cr_pure, cr_swap_symmetric, cycling_unitary,
-                      discontinuity_unitary, gallery, known_states,
-                      limit_kraus_ops)
+from .maxent import MaxEntResult, entropy_gradient, max_entropy_fixed_state
+from .gallery import (GallerySystem, bistable_unitary, cr_eps, cr_mixed,
+                      cr_pure, cr_swap_symmetric, cycling_unitary,
+                      discontinuity_unitary, gallery, limit_kraus_ops)
 from .experiments import (CONTINUITY_BUDGET, Fig2Config, Fig3Config, RunRecord,
                           RunRow, continuity_metric, counterexample_report,
                           derive_seed, deutsch_rule_grid, run_fig2, run_fig3,

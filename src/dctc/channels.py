@@ -30,6 +30,10 @@ from .qmat import (
 
 KRAUS_EIG_CUTOFF = 1e-10
 
+# ``superoperator``'s einsum order (rho_cr into u, then the conjugate): what
+# ``optimize=True`` plans for the gallery and all CR, CV dimensions 1 to 8.
+_SUPEROP_PATH = ["einsum_path", (0, 1), (0, 1)]
+
 
 @dataclass(frozen=True)
 class CtcSystem:
@@ -140,7 +144,7 @@ def superoperator(sys: CtcSystem, include_noise: bool = False) -> np.ndarray:
     d = sys.d_cv
     u = sys.u.reshape(sys.split.d_cr, d, sys.split.d_cr, d)
     m = np.einsum("abce,cf,agfh->gbhe", u, sys.rho_cr, u.conj(),
-                  optimize=True).reshape(d * d, d * d)
+                  optimize=_SUPEROP_PATH).reshape(d * d, d * d)
     if include_noise and sys.p > 0.0:
         m = (1.0 - sys.p) * m + sys.p * np.outer(vec(maximally_mixed(d)), vec(np.eye(d)))
     return m

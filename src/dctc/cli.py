@@ -40,6 +40,8 @@ from .maxent import max_entropy_fixed_state
 from .qmat import maximally_mixed, von_neumann_entropy
 
 DEMO_NAMES = ("u1-cycle", "u2-bistable", "kraus-refutation")
+_JOBS_HELP = ("thread count, to check that the output does not depend on it; "
+              "not a speed option")
 
 
 class _UsageError(Exception):
@@ -93,7 +95,7 @@ def build_parser():
     sp.add_argument("--full-scale", action="store_true",
                     help="published scale: 1000 states, 10000 iterations")
     sp.add_argument("--seed", type=int, default=42, help="master seed")
-    sp.add_argument("--jobs", type=int, default=1, help="worker threads")
+    sp.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     sp.set_defaults(func=_cmd_sweep)
 
     sp = add("surface", "consistent-state entropy over a CR population grid")
@@ -106,7 +108,7 @@ def build_parser():
     sp.add_argument("--grid-step", type=float, default=0.1,
                     help="population grid step over [0, 1]")
     sp.add_argument("--seed", type=int, default=42, help="master seed")
-    sp.add_argument("--jobs", type=int, default=1, help="worker threads")
+    sp.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     sp.set_defaults(func=_cmd_surface)
 
     sp = add("maxent", "maximum-entropy consistent state of a circuit")

@@ -20,20 +20,22 @@ in the closed-timelike-curve literature:
   map, and the same fixed point from one linear solve of
   ``(Id - (1-p) M) vec(tau) = p vec(I/d)``.
 
-Two orbit drivers serve ``ralph_iterate``:
+``ralph_iterate_many`` is the one orbit entry point (``ralph_iterate`` is
+its one-start call). It builds the loop map once per call and drives
+every start with it:
 
-* ``_run_orbit``, the cycle scan: one state at a time, for the noiseless
-  map (p = 0), where orbits may cycle. A new iterate matching a window
-  entry at lag T (trace distance below ``tol``) is declared a cycle only
-  when the lag-1 motion is at least ``10 * tol`` and has not decayed over
-  the last period (ratio of Frobenius motions >= 0.99). Without the
-  guards, an alternating orbit that is merely converging (a negative real
-  eigenvalue of the map) would be misreported as a period-2 cycle. Guards
-  use Frobenius norms; the match itself uses trace distance.
-* ``ralph_iterate_many``, the contraction: every start of a p > 0 system
-  advances together as one stacked matvec per step, with no cycle scan
-  (a strict contraction has no nontrivial cycle). Each start stops, and
-  its row is computed, exactly as a lone run of the same start would.
+* at p = 0, ``_run_orbit``, the cycle scan: one state at a time, since
+  noiseless orbits may cycle. A new iterate matching a window entry at lag
+  T (trace distance below ``tol``) is declared a cycle only when the lag-1
+  motion is at least ``10 * tol`` and has not decayed over the last period
+  (ratio of Frobenius motions >= 0.99). Without the guards, an alternating
+  orbit that is merely converging (a negative real eigenvalue of the map)
+  would be misreported as a period-2 cycle. Guards use Frobenius norms;
+  the match itself uses trace distance.
+* at p > 0, the contraction: every start advances together as one stacked
+  matvec per step, with no cycle scan (a strict contraction has no
+  nontrivial cycle). Each start stops, and its row is computed, exactly as
+  a lone run of the same start would.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from .qmat import (PSD_TOL, check_density, hermitian_span, maximally_mixed,
 FIXED_SUBSPACE_SVD_TOL = 1e-8
 _CYCLE_GUARD = 10.0
 _CYCLE_DECAY_MIN = 0.99
+_CYCLE_WINDOW = 64  # orbit states the cycle scan keeps
 
 
 class ConvergenceError(RuntimeError):
@@ -69,15 +72,12 @@ class EngineConfig:
 
     max_iter: int = 10000
     tol: float = 1e-10
-    cycle_window: int = 64
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.cycle_window < 2:
-            raise ValueError("cycle_window must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -121,28 +121,26 @@ def _sym(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + x.conj().T)
 
 
-@dataclass
-class _OrbitResult:
-    kind: str  # "fixed" | "cycle" | "exhausted"
-    last: np.ndarray
-    steps: int
-    cycle_states: tuple[np.ndarray, ...] | None = None
+def _run_orbit(m: np.ndarray, x: np.ndarray, cfg: EngineConfig) -> IterationOutcome:
+    """Drive the noiseless loop map ``m`` (a superoperator matrix) from the
+    Hermitian start ``x`` until fixed point, cycle, or exhaustion."""
+    d = x.shape[0]
 
+    def step(y):
+        return _sym((m @ y.reshape(-1, order="F")).reshape(d, d, order="F"))
 
-def _run_orbit(step, tau0: np.ndarray, cfg: EngineConfig) -> _OrbitResult:
-    """Drive ``step`` from ``tau0`` until fixed point, cycle, or exhaustion."""
-    x = _sym(np.asarray(tau0, dtype=complex))
-    window = [x]          # x_0 .. x_{n-1}, trimmed to cycle_window entries
+    window = [x]          # x_0 .. x_{n-1}, trimmed to _CYCLE_WINDOW entries
     motions = [np.inf]    # Frobenius ||x_k - x_{k-1}||, aligned with window
     tol = cfg.tol
 
     for n in range(1, cfg.max_iter + 1):
-        x_new = _sym(step(x))
+        x_new = step(x)
         d1_fro = float(np.linalg.norm(x_new - x))
 
         # Fixed point: trace distance between successive iterates below tol.
         if 0.5 * d1_fro < tol and trace_distance(x_new, x) < tol:
-            return _OrbitResult("fixed", x_new, n)
+            return IterationOutcome("converged", x_new, n,
+                                    trace_distance(step(x_new), x_new))
 
         # Cycle scan over lags 2..window, smallest lag wins.
         if 0.5 * d1_fro >= _CYCLE_GUARD * tol and len(window) >= 2:
@@ -160,32 +158,18 @@ def _run_orbit(step, tau0: np.ndarray, cfg: EngineConfig) -> _OrbitResult:
                 if d1_fro / prev_motion < _CYCLE_DECAY_MIN:
                     continue  # motion is decaying: converging, not cycling
                 cycle = tuple(window[len(window) - lag:])
-                return _OrbitResult("cycle", x_new, n, cycle)
+                return IterationOutcome("cycle", _sym(sum(cycle) / len(cycle)), n,
+                                        trace_distance(step(cycle[-1]), cycle[0]),
+                                        cycle)
 
         window.append(x_new)
         motions.append(d1_fro)
-        if len(window) > cfg.cycle_window:
+        if len(window) > _CYCLE_WINDOW:
             window.pop(0)
             motions.pop(0)
         x = x_new
 
-    return _OrbitResult("exhausted", x, cfg.max_iter)
-
-
-def _linear_step(sys: CtcSystem):
-    """The noiseless loop map as one superoperator matvec per step.
-
-    Identical to conjugate-and-trace application up to rounding (they agree
-    to machine precision) and an order of magnitude cheaper across the long
-    orbits the experiments run.
-    """
-    m = superoperator(sys, include_noise=False)
-    d = sys.d_cv
-
-    def step(x):
-        return (m @ x.reshape(-1, order="F")).reshape(d, d, order="F")
-
-    return step
+    return IterationOutcome("exhausted", x, cfg.max_iter, trace_distance(step(x), x))
 
 
 def _trace_distances(diffs: np.ndarray, d: int) -> np.ndarray:
@@ -202,24 +186,25 @@ def _trace_distances(diffs: np.ndarray, d: int) -> np.ndarray:
 
 def ralph_iterate_many(sys: CtcSystem, tau0s,
                        cfg: EngineConfig | None = None) -> list[IterationOutcome]:
-    """``ralph_iterate`` from each start in ``tau0s``, all advanced together
-    as one stacked matrix-vector product per step; requires ``sys.p > 0``.
+    """Iterate the noisy map ``tau -> (1-p) D(tau) + p I/d`` from each start
+    in ``tau0s``, building the loop map once for the whole call.
 
-    A start stops at the first step whose iterate is within ``tol`` of the
-    previous one in trace distance, and leaves the stack there; one that
-    never does is "exhausted" after ``max_iter`` steps with its last
-    iterate. Each outcome is bit for bit the one for that start alone, so
-    it does not depend on which other starts share the call. No cycle scan
-    runs: a strict contraction has no nontrivial cycle.
+    At p = 0 each start runs the cycle scan in turn. At p > 0 all starts
+    advance together as one stacked matrix-vector product per step, with
+    no cycle scan (a strict contraction has no nontrivial cycle): a start
+    stops at the first step whose iterate is within ``tol`` of the previous
+    one in trace distance, or is "exhausted" after ``max_iter`` steps with
+    its last iterate. Either way each outcome is bit for bit the one for
+    that start alone, whichever other starts share the call.
     """
-    if sys.p <= 0.0:
-        raise ValueError("ralph_iterate_many requires a system with p > 0")
     cfg = cfg or EngineConfig()
     starts = [_sym(_cv_state(sys, t)) for t in tau0s]
     if not starts:
         return []
+    m = superoperator(sys, include_noise=True)  # the noiseless map at p = 0
+    if sys.p == 0.0:
+        return [_run_orbit(m, x, cfg) for x in starts]
     d, tol = sys.d_cv, cfg.tol
-    m = superoperator(sys, include_noise=True)
     # vec(X^H) = conj(vec(X)[perm])
     perm = np.arange(d * d).reshape(d, d).T.ravel()
     k = len(starts)
@@ -282,26 +267,9 @@ def ralph_iterate_many(sys: CtcSystem, tau0s,
 
 
 def ralph_iterate(sys: CtcSystem, tau0, cfg: EngineConfig | None = None) -> IterationOutcome:
-    """Iterate the noisy map ``tau -> (1-p) D(tau) + p I/d`` from ``tau0``.
-
-    With ``p = 0`` this is plain iteration of the loop map with the cycle
-    scan; a cycle is reported with the cycle's Cesaro mean as the state and
-    the cycle-closure defect as the residual, and an exhausted run returns
-    its last iterate. With ``p > 0`` it is ``ralph_iterate_many`` on the
-    one start.
-    """
-    if sys.p > 0.0:
-        return ralph_iterate_many(sys, [tau0], cfg)[0]
-    step = _linear_step(sys)
-    res = _run_orbit(step, _cv_state(sys, tau0), cfg or EngineConfig())
-    if res.kind == "cycle":
-        cycle = res.cycle_states
-        state = _sym(sum(cycle) / len(cycle))
-        resid = trace_distance(_sym(step(cycle[-1])), cycle[0])
-        return IterationOutcome("cycle", state, res.steps, resid, cycle)
-    status = "exhausted" if res.kind == "exhausted" else "converged"
-    return IterationOutcome(status, res.last, res.steps,
-                            trace_distance(_sym(step(res.last)), res.last))
+    """Iterate the noisy map from ``tau0``: ``ralph_iterate_many`` on the
+    one start."""
+    return ralph_iterate_many(sys, [tau0], cfg)[0]
 
 
 def _fixed_kernels(sys: CtcSystem):
@@ -324,8 +292,13 @@ def _ergodic_projector(sys: CtcSystem):
     ``P`` is the Cesaro limit ``lim (1/n) sum_k M^k``.
     """
     m, r, l = _fixed_kernels(sys)
+    return m, _projector(r, l)
+
+
+def _projector(r: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """``R (L^H R)^{-1} L^H`` for right and left kernels ``R`` and ``L``."""
     lh = l.conj().T
-    return m, r @ np.linalg.solve(lh @ r, lh)
+    return r @ np.linalg.solve(lh @ r, lh)
 
 
 def deutsch_cesaro(sys: CtcSystem, tau0) -> IterationOutcome:
@@ -394,8 +367,14 @@ def fixed_subspace(sys: CtcSystem) -> FixedSubspace:
     ``FIXED_SUBSPACE_SVD_TOL``) is closed under the adjoint, Hermitized,
     and orthonormalized.
     """
-    d = sys.d_cv
     m, r, _ = _fixed_kernels(sys)
+    return _fixed_span(m, r)
+
+
+def _fixed_span(m: np.ndarray, r: np.ndarray) -> FixedSubspace:
+    """``fixed_subspace`` from the loop map ``m`` and its right kernel ``r``
+    (as columns) out of ``_fixed_kernels``."""
+    d = int(round(np.sqrt(m.shape[0])))
     # Kernel vectors as matrices (unvec of each); their Hermitian and
     # anti-Hermitian parts span the fixed Hermitian operators.
     b = r.T.reshape(-1, d, d).transpose(0, 2, 1)

@@ -189,10 +189,9 @@ def run_fig2(cfg: Fig2Config, *, jobs: int = 1, inject=None) -> RunRecord:
     Each task is one (s, initial state) pair; its initial CV state is
     drawn from the Ginibre ensemble with the task's derived seed, then
     iterated once per configured noise strength (same initial state for
-    all of them). The work is split into (s, p) cells: a p > 0 cell runs
-    all its starts in one ``ralph_iterate_many`` call, a p = 0 cell runs
-    ``ralph_iterate`` per start. Cycle outcomes carry the cycle-average
-    entropy and keep their "cycle" status tag.
+    all of them). The work is split into (s, p) cells, each running all
+    its starts in one ``ralph_iterate_many`` call. Cycle outcomes carry the
+    cycle-average entropy and keep their "cycle" status tag.
 
     ``inject`` optionally maps a task index to an explicit initial state
     that replaces the seeded draw for that task; the seed column still
@@ -219,11 +218,7 @@ def run_fig2(cfg: Fig2Config, *, jobs: int = 1, inject=None) -> RunRecord:
         s = cfg.s_values[si]
         sys = sysdef.system(rho_cr=_cr_qubit(cfg.family, s), p=p)
         tasks = range(si * cfg.n_random, (si + 1) * cfg.n_random)
-        cell_starts = [starts[task] for task in tasks]
-        if p > 0.0:
-            outs = ralph_iterate_many(sys, cell_starts, ecfg)
-        else:
-            outs = [ralph_iterate(sys, tau0, ecfg) for tau0 in cell_starts]
+        outs = ralph_iterate_many(sys, [starts[task] for task in tasks], ecfg)
         return [RunRow("fig2", cfg.family, s, None, None, p, task, seeds[task],
                        out.status, von_neumann_entropy(out.state),
                        out.residual, out.steps)

@@ -156,31 +156,6 @@ def gallery() -> dict[str, GallerySystem]:
     }
 
 
-@dataclass(frozen=True)
-class KnownState:
-    """A labeled reference state."""
-
-    label: str
-    state: np.ndarray
-
-
-def known_states() -> list[KnownState]:
-    """Reference CV states: the period-3 cycle, its average, and the two
-    states the selection rules disagree about."""
-    def d(*xs):
-        return np.diag(np.array(xs, dtype=complex))
-
-    third = 1.0 / 3.0
-    return [
-        KnownState("cycle-state-1", d(0.5, 0.0, 0.25, 0.25)),
-        KnownState("cycle-state-2", d(0.25, 0.0, 0.25, 0.5)),
-        KnownState("cycle-state-3", d(0.25, 0.0, 0.5, 0.25)),
-        KnownState("cesaro-limit", d(third, 0.0, third, third)),
-        KnownState("stable-fixed", d(0.5, 0.0, 0.25, 0.25)),
-        KnownState("max-entropy-fixed", d(third, 0.0, third, third)),
-    ]
-
-
 def limit_kraus_ops() -> list[np.ndarray]:
     """The four 4x4 Kraus operators of the bistable circuit's iterated-map
     limit: a level-0 projector, a 1->0 jump, and balanced keep/swap

@@ -27,13 +27,14 @@ import numpy as np
 from .engines import (
     ConvergenceError,
     FixedSubspace,
-    consistency_residual,
-    deutsch_cesaro,
-    fixed_subspace,
+    _fixed_kernels,
+    _fixed_span,
+    _projector,
+    _sym,
 )
-from .channels import CtcSystem
+from .channels import CtcSystem, apply_superoperator
 from .qmat import (ENTROPY_CLAMP, check_density, hermitian_span, maximally_mixed,
-                   _as_square)
+                   trace_distance, _as_square)
 
 _LOG2 = np.log(2.0)
 
@@ -97,12 +98,6 @@ def _project(h: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return np.tensordot(coeffs, dirs, axes=1)
 
 
-def project_affine(h, subspace: FixedSubspace) -> np.ndarray:
-    """Project a Hermitian matrix onto the traceless directions of the
-    fixed span (Hilbert-Schmidt orthogonal projection)."""
-    return _project(_as_square(h, "matrix"), _trace_zero_directions(subspace))
-
-
 def max_entropy_fixed_state(sys: CtcSystem, *, grad_tol: float = GRAD_TOL,
                             max_iter: int = MAX_ASCENT_ITER) -> MaxEntResult:
     """Maximum-entropy consistent state of the noiseless system.
@@ -112,11 +107,13 @@ def max_entropy_fixed_state(sys: CtcSystem, *, grad_tol: float = GRAD_TOL,
     ``P(I)/d`` (its eigenvalues above ``ENTROPY_CLAMP``). A step is
     accepted only when it keeps the compressed state positive definite and
     meets the Armijo condition. Stops when the projected gradient norm
-    falls below ``grad_tol`` or after ``max_iter`` steps.
+    falls below ``grad_tol`` or after ``max_iter`` steps. The anchor, its
+    consistency check and the fixed span all use one SVD of ``M - Id``.
     """
-    d = sys.d_cv
-    anchor = check_density(deutsch_cesaro(sys, maximally_mixed(d)).state, psd_tol=1e-9)
-    if consistency_residual(sys, anchor) >= 1e-6:
+    m, r, l = _fixed_kernels(sys)
+    anchor = _sym(apply_superoperator(_projector(r, l), maximally_mixed(sys.d_cv)))
+    anchor = check_density(anchor, psd_tol=1e-9)
+    if trace_distance(_sym(apply_superoperator(m, anchor)), anchor) >= 1e-6:
         raise ConvergenceError("anchor state is not consistent within 1e-6")
 
     # The anchor in its own eigenbasis, restricted to its support ``v``.
@@ -124,7 +121,7 @@ def max_entropy_fixed_state(sys: CtcSystem, *, grad_tol: float = GRAD_TOL,
     w, v = w[w > ENTROPY_CLAMP], v[:, w > ENTROPY_CLAMP]
     tau = np.diag(w).astype(complex)
     entropy = float(-(w @ np.log2(w)))
-    dirs = v.conj().T @ _trace_zero_directions(fixed_subspace(sys)) @ v
+    dirs = v.conj().T @ _trace_zero_directions(_fixed_span(m, r)) @ v
     if len(dirs):
         dirs = hermitian_span(dirs)
 

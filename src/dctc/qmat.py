@@ -22,7 +22,6 @@ HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 UNITARY_TOL = 1e-10
-EIG_HERMITIAN_TOL = 1e-8
 ENTROPY_CLAMP = 1e-12
 SPAN_TOL = 1e-10
 
@@ -58,15 +57,6 @@ def check_density(rho, herm_tol: float = HERMITIAN_TOL,
     if w.min() < -psd_tol:
         raise ValueError(f"density matrix has negative eigenvalue {w.min():.3e}")
     return a
-
-
-def is_density(rho) -> bool:
-    """True when ``check_density`` accepts ``rho``."""
-    try:
-        check_density(rho)
-    except ValueError:
-        return False
-    return True
 
 
 def check_unitary(u, tol: float = UNITARY_TOL) -> np.ndarray:
@@ -154,20 +144,6 @@ def trace_distance(a, b) -> float:
     diff = x - y
     diff = 0.5 * (diff + diff.conj().T)
     return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
-
-
-def hermitian_eig(h, herm_tol: float = EIG_HERMITIAN_TOL):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(w, v)`` with eigenvalues ``w`` ascending and orthonormal
-    eigenvector columns ``v``; raises ``ValueError`` when the input deviates
-    from Hermiticity by more than ``herm_tol``.
-    """
-    a = _as_square(h, "hermitian matrix")
-    if np.abs(a - a.conj().T).max() > herm_tol:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
-    return w, v
 
 
 def hermitian_span(mats) -> np.ndarray:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from dctc import engines
+
 
 @pytest.fixture
 def haar():
@@ -13,3 +15,17 @@ def haar():
         return q * (np.diag(r) / np.abs(np.diag(r)))
 
     return draw
+
+
+@pytest.fixture
+def superop_builds(monkeypatch):
+    """The arguments of every ``superoperator`` call the engines make."""
+    builds = []
+    real = engines.superoperator
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engines, "superoperator", counting)
+    return builds

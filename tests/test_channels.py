@@ -274,3 +274,21 @@ def test_superoperator_haar_properties(d_cr, d_cv, p, haar):
         assert np.linalg.eigvalsh(0.5 * (c + c.conj().T)).min() > -1e-12
         assert np.abs(ident @ m - ident).max() < 1e-13  # trace preserving
         assert np.abs(superoperator_from_kraus(kraus_from_choi(c)) - m).max() < 1e-12
+
+
+@pytest.mark.parametrize("case", ["u1", "u2", "u3", (2, 2), (3, 2), (2, 3),
+                                  (4, 3), (4, 2), (8, 2), (2, 8), (5, 3)])
+def test_superoperator_fixed_path_matches_planned(case, haar):
+    """The fixed contraction order gives the bits a planned einsum gives."""
+    if isinstance(case, str):
+        sys = gallery()[case].system()
+    else:
+        d_cr, d_cv = case
+        rng = np.random.default_rng(20 * d_cr + d_cv)
+        sys = CtcSystem(haar(d_cr * d_cv, rng), random_density(d_cr, 90 + d_cv),
+                        DimSplit(d_cr, d_cv))
+    d = sys.d_cv
+    u = sys.u.reshape(sys.split.d_cr, d, sys.split.d_cr, d)
+    planned = np.einsum("abce,cf,agfh->gbhe", u, sys.rho_cr, u.conj(),
+                        optimize=True).reshape(d * d, d * d)
+    assert np.array_equal(superoperator(sys), planned)

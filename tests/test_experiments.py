@@ -116,6 +116,16 @@ def test_run_fig2_jobs_do_not_change_rows():
     assert rows_serial == rows_parallel
 
 
+def test_run_fig2_builds_the_loop_map_once_per_cell(superop_builds):
+    """Each (s, p) cell, p = 0 included, builds its superoperator once for
+    all of its starts."""
+    cfg = Fig2Config(system="u1", s_values=(0.0, 0.5, 1.0), n_random=4,
+                     max_iter=200, p_values=(0.0, 0.01))
+    rec = run_fig2(cfg)
+    assert len(rec.rows) == 24
+    assert len(superop_builds) == 6
+
+
 def test_run_fig3_small():
     cfg = Fig3Config(family="mixed", eps_values=(0.0, 0.5, 1.0), p=0.1)
     rec = run_fig3(cfg)

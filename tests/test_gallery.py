@@ -12,7 +12,6 @@ from dctc.gallery import (
     cycling_unitary,
     discontinuity_unitary,
     gallery,
-    known_states,
     limit_kraus_ops,
 )
 from dctc.maxent import max_entropy_fixed_state
@@ -162,21 +161,19 @@ def test_cr_eps():
 
 
 def test_known_states():
-    states = {k.label: k.state for k in known_states()}
-    assert set(states) == {"cycle-state-1", "cycle-state-2", "cycle-state-3",
-                           "cesaro-limit", "stable-fixed", "max-entropy-fixed"}
-    for st in states.values():
+    """The u1 period-3 cycle, its average and u2's two contested states."""
+    cycle = [np.diag([0.5, 0.0, 0.25, 0.25]).astype(complex),
+             np.diag([0.25, 0.0, 0.25, 0.5]).astype(complex),
+             np.diag([0.25, 0.0, 0.5, 0.25]).astype(complex)]
+    for st in (*cycle, STABLE, FLAT):
         check_density(st)
-    assert abs(von_neumann_entropy(states["stable-fixed"]) - 1.5) < 1e-12
-    assert np.abs(states["max-entropy-fixed"] - FLAT).max() < 1e-15
+    assert abs(von_neumann_entropy(STABLE) - 1.5) < 1e-12
+    assert abs(von_neumann_entropy(FLAT) - np.log2(3)) < 1e-12
+    assert np.abs(sum(cycle) / 3 - FLAT).max() < 1e-15
     # the three cycle states map one onto the next under the cycling circuit
     sys = gallery()["u1"].system()
-    assert np.abs(cv_map(sys, states["cycle-state-1"])
-                  - states["cycle-state-2"]).max() < 1e-12
-    assert np.abs(cv_map(sys, states["cycle-state-2"])
-                  - states["cycle-state-3"]).max() < 1e-12
-    assert np.abs(cv_map(sys, states["cycle-state-3"])
-                  - states["cycle-state-1"]).max() < 1e-12
+    for k in range(3):
+        assert np.abs(cv_map(sys, cycle[k]) - cycle[(k + 1) % 3]).max() < 1e-12
 
 
 def test_limit_kraus_ops_completeness():

@@ -4,7 +4,8 @@ import pytest
 from dctc.channels import CtcSystem
 from dctc.engines import consistency_residual, deutsch_cesaro, fixed_subspace
 from dctc.gallery import gallery
-from dctc.maxent import entropy_gradient, max_entropy_fixed_state, project_affine
+from dctc.maxent import (_project, _trace_zero_directions, entropy_gradient,
+                         max_entropy_fixed_state)
 from dctc.qmat import (
     DimSplit,
     maximally_mixed,
@@ -118,18 +119,29 @@ def test_entropy_increases_toward_the_flat_state():
 
 
 def test_project_affine_behaviour():
-    sub = fixed_subspace(gallery()["u2"].system())
+    """Projection onto the traceless fixed directions keeps what lies in
+    them, removes what is orthogonal to them, and is idempotent."""
+    dirs = _trace_zero_directions(fixed_subspace(gallery()["u2"].system()))
     inside = np.diag([-1.0, 0.0, 0.5, 0.5]).astype(complex)
-    assert np.abs(project_affine(inside, sub) - inside).max() < 1e-8
+    assert np.abs(_project(inside, dirs) - inside).max() < 1e-8
     # orthogonal to every traceless fixed direction: level-1 population
     # alone, and a coherence the fixed family never contains
     for outside in (np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex),
                     np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0],
                               [0, 0, 0, 0]], dtype=complex)):
-        assert np.abs(project_affine(outside, sub)).max() < 1e-8
+        assert np.abs(_project(outside, dirs)).max() < 1e-8
     rng = np.random.default_rng(9)
     for _ in range(10):
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         h = 0.5 * (a + a.conj().T)
-        once = project_affine(h, sub)
-        assert np.abs(project_affine(once, sub) - once).max() < 1e-12
+        once = _project(h, dirs)
+        assert np.abs(_project(once, dirs) - once).max() < 1e-12
+
+
+def test_max_entropy_builds_the_loop_map_once(superop_builds):
+    """One solve takes M, the anchor, its consistency check and the fixed
+    span from a single superoperator build."""
+    for name in ("u1", "u2", "u3"):
+        superop_builds.clear()
+        max_entropy_fixed_state(gallery()[name].system())
+        assert len(superop_builds) == 1, name

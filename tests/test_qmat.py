@@ -7,8 +7,6 @@ from dctc.qmat import (
     DimSplit,
     check_density,
     check_unitary,
-    hermitian_eig,
-    is_density,
     maximally_mixed,
     partial_trace,
     random_density,
@@ -150,35 +148,6 @@ def test_trace_distance_shape_mismatch():
         trace_distance(np.eye(2), np.eye(4))
 
 
-def test_hermitian_eig_known_spectra():
-    w, _ = hermitian_eig(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(w, [1.0, 2.0, 3.0], atol=1e-12)
-    w, v = hermitian_eig(X)
-    assert np.allclose(w, [-1.0, 1.0], atol=1e-12)
-    # eigenvectors of X are (|0> -+ |1>)/sqrt(2), up to phase
-    for k in range(2):
-        assert abs(abs(v[0, k]) - 1 / np.sqrt(2)) < 1e-12
-        assert abs(abs(v[1, k]) - 1 / np.sqrt(2)) < 1e-12
-
-
-def test_hermitian_eig_reconstruction():
-    """Reconstruction and orthonormality on seeded Hermitian matrices."""
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        dim = int(rng.integers(2, 17))
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        h = 0.5 * (g + g.conj().T)
-        w, v = hermitian_eig(h)
-        assert np.abs(v @ np.diag(w) @ v.conj().T - h).max() < 1e-9
-        assert np.abs(v.conj().T @ v - np.eye(dim)).max() < 1e-9
-        assert (np.diff(w) >= -1e-12).all()
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
 def test_random_density_is_valid_and_deterministic():
     for dim in (1, 2, 4, 8):
         a = random_density(dim, 123)
@@ -205,8 +174,6 @@ def test_check_density_rejections():
         check_density(np.diag([1.5, -0.5]))  # negative eigenvalue
     with pytest.raises(ValueError):
         check_density(np.full((2, 2), np.nan))
-    assert not is_density(np.eye(3))
-    assert is_density(maximally_mixed(3))
 
 
 def test_check_unitary():
