@@ -10,10 +10,9 @@ from .qmat import (DimSplit, check_density, check_unitary, maximally_mixed,
                    partial_trace, random_density, tensor, trace_distance,
                    von_neumann_entropy)
 from .channels import (CtcSystem, apply_superoperator, channel_distance,
-                       choi_matrix, cr_output, cv_map, depolarize, kraus_apply,
-                       kraus_commutator_residual, kraus_completeness_defect,
-                       kraus_from_choi, noisy_cv_map, superoperator,
-                       superoperator_from_kraus, unvec, vec)
+                       choi_matrix, cv_map, depolarize, kraus_commutator_residual,
+                       kraus_completeness_defect, kraus_from_choi, noisy_cv_map,
+                       superoperator, superoperator_from_kraus, unvec, vec)
 from .engines import (ConvergenceError, EngineConfig, FixedSubspace,
                       IterationOutcome, allen_cesaro, consistency_residual,
                       deutsch_cesaro, fixed_subspace, limit_superoperator,

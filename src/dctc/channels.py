@@ -79,22 +79,11 @@ def _cv_state(sys: CtcSystem, tau) -> np.ndarray:
     return t
 
 
-def _interact(sys: CtcSystem, tau, keep: str) -> np.ndarray:
-    """One noiseless loop pass on CV state ``tau``: the Hermitized ``keep``
-    marginal of ``u (rho_cr (x) tau) u^dag``."""
-    after = sys.u @ np.kron(sys.rho_cr, _cv_state(sys, tau)) @ sys.u.conj().T
-    out = partial_trace(after, sys.split, keep=keep)
-    return 0.5 * (out + out.conj().T)
-
-
 def cv_map(sys: CtcSystem, tau) -> np.ndarray:
     """One noiseless pass: the CV marginal of ``u (rho_cr (x) tau) u^dag``."""
-    return _interact(sys, tau, "cv")
-
-
-def cr_output(sys: CtcSystem, tau) -> np.ndarray:
-    """The CR-side marginal of ``u (rho_cr (x) tau) u^dag`` for CV state ``tau``."""
-    return _interact(sys, tau, "cr")
+    after = sys.u @ np.kron(sys.rho_cr, _cv_state(sys, tau)) @ sys.u.conj().T
+    out = partial_trace(after, sys.split)
+    return 0.5 * (out + out.conj().T)
 
 
 def depolarize(tau, p: float) -> np.ndarray:
@@ -115,10 +104,10 @@ def vec(mat) -> np.ndarray:
     return np.asarray(mat, dtype=complex).reshape(-1, order="F")
 
 
-def unvec(v, dim: int | None = None) -> np.ndarray:
+def unvec(v) -> np.ndarray:
     """Inverse of ``vec``."""
     a = np.asarray(v, dtype=complex).reshape(-1)
-    d = int(round(np.sqrt(a.size))) if dim is None else dim
+    d = int(round(np.sqrt(a.size)))
     if d * d != a.size:
         raise ValueError(f"vector length {a.size} is not a perfect square")
     return a.reshape(d, d, order="F")
@@ -156,7 +145,7 @@ def apply_superoperator(m, mat) -> np.ndarray:
     a = _as_square(mat, "operator")
     if a.shape[0] != d:
         raise ValueError(f"operator dimension {a.shape[0]} does not match superoperator {d}")
-    return unvec(np.asarray(m) @ vec(a), d)
+    return unvec(np.asarray(m) @ vec(a))
 
 
 def superoperator_from_kraus(ops) -> np.ndarray:
@@ -183,11 +172,12 @@ def choi_matrix(m) -> np.ndarray:
     return a.transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
 
-def kraus_from_choi(c, cutoff: float = KRAUS_EIG_CUTOFF) -> list[np.ndarray]:
+def kraus_from_choi(c) -> list[np.ndarray]:
     """Kraus operators of a channel from its Choi matrix eigendecomposition.
 
-    Eigenvalues below ``cutoff`` are dropped; a negative eigenvalue beyond
-    ``-cutoff`` (not completely positive) raises ``ValueError``.
+    Eigenvalues below ``KRAUS_EIG_CUTOFF`` are dropped; an eigenvalue below
+    ``-1e-9 * max(1, largest eigenvalue)`` (not completely positive) raises
+    ``ValueError``.
     """
     a = _as_square(c, "Choi matrix")
     if np.abs(a - a.conj().T).max() > 1e-8:
@@ -196,24 +186,15 @@ def kraus_from_choi(c, cutoff: float = KRAUS_EIG_CUTOFF) -> list[np.ndarray]:
     if d * d != a.shape[0]:
         raise ValueError("Choi matrix dimension is not a perfect square")
     w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
-    if w.min() < -max(cutoff, 1e-9) * max(1.0, w.max()):
+    if w.min() < -1e-9 * max(1.0, w.max()):
         raise ValueError(f"Choi matrix is not PSD (eigenvalue {w.min():.3e})")
     ops = []
     for k in range(w.size):
-        if w[k] > cutoff:
+        if w[k] > KRAUS_EIG_CUTOFF:
             ops.append(np.sqrt(w[k]) * v[:, k].reshape(d, d).T)
     if not ops:
         raise ValueError("no Kraus operators above the eigenvalue cutoff")
     return ops
-
-
-def kraus_apply(ops, mat) -> np.ndarray:
-    """Apply a Kraus set: ``sum_j E_j mat E_j^dag``."""
-    a = _as_square(mat, "operator")
-    out = np.zeros_like(a)
-    for e in ops:
-        out += e @ a @ e.conj().T
-    return out
 
 
 def kraus_completeness_defect(ops) -> float:

@@ -24,7 +24,6 @@ import time
 
 import numpy as np
 
-from . import __version__
 from .channels import (channel_distance, choi_matrix,
                        kraus_commutator_residual, kraus_completeness_defect,
                        kraus_from_choi, superoperator_from_kraus)
@@ -98,8 +97,7 @@ def build_parser():
     sp.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     sp.set_defaults(func=_cmd_sweep)
 
-    sp = add("surface", "consistent-state entropy over a CR population grid")
-    sp.add_argument("--system", choices=("u3",), default="u3")
+    sp = add("surface", "consistent-state entropy of u3 over a CR population grid")
     sp.add_argument("--family", choices=("mixed", "pure"), default="pure")
     sp.add_argument("--rule", choices=("revised", "deutsch"), default="revised",
                     help="revised: closed form at --p; deutsch: maximum-entropy "
@@ -187,12 +185,10 @@ def _resolve_out_dir(args) -> str:
     return out
 
 
-def _write_artifact(out, name, doc, config, t0) -> None:
-    """Write ``<name>.json`` and its manifest, timed from ``t0``."""
-    _write_json(os.path.join(out, f"{name}.json"), doc)
-    _write_json(os.path.join(out, f"{name}_manifest.json"),
-                {"experiment": name, "config": config,
-                 "version": __version__, "wall_time_s": time.monotonic() - t0})
+def _write_artifact(out, record: RunRecord, doc) -> None:
+    """Write ``<experiment>.json`` and the record's manifest."""
+    _write_json(os.path.join(out, f"{record.experiment}.json"), doc)
+    write_manifest(record, os.path.join(out, f"{record.experiment}_manifest.json"))
 
 
 def _mat_lines(m, digits=6) -> str:
@@ -252,7 +248,8 @@ def _cmd_demo(args) -> int:
         row("", 0.0, "reference-commutator", None, sec["commutator_residual_mm"], 0)
     safe = args.name.replace("-", "_")
     write_csv(rows, os.path.join(out, f"demo_{safe}.csv"))
-    _write_artifact(out, f"demo_{safe}", sec, {"name": args.name}, t0)
+    _write_artifact(out, RunRecord(f"demo_{safe}", {"name": args.name}, tuple(rows),
+                                   time.monotonic() - t0), sec)
     return 0
 
 
@@ -290,7 +287,7 @@ def _cmd_surface(args) -> int:
     out = _resolve_out_dir(args)
     if args.rule == "revised":
         cfg = Fig3Config(family=args.family, eps_values=eps_values, p=args.p,
-                         master_seed=args.seed, system=args.system)
+                         master_seed=args.seed)
         rec = run_fig3(cfg, jobs=max(1, args.jobs))
         budget = rec.info.get("continuity_budget")
         verdict = ""
@@ -301,11 +298,9 @@ def _cmd_surface(args) -> int:
               f"max adjacent jump {rec.info['max_jump']:.6f}{verdict}")
     else:
         t0 = time.monotonic()
-        grid = deutsch_rule_grid(eps_values, family=args.family,
-                                 system=args.system)
+        grid = deutsch_rule_grid(eps_values, family=args.family)
         rows = []
         n = len(eps_values)
-        nan_cells = int(np.isnan(grid).sum())
         for task in range(n * n):
             i, j = divmod(task, n)
             rows.append(RunRow("deutsch-rule", args.family, None,
@@ -315,14 +310,12 @@ def _cmd_surface(args) -> int:
         jump, cells = continuity_metric(grid)
         rec = RunRecord("deutsch-rule",
                         {"family": args.family, "eps_values": list(eps_values),
-                         "system": args.system, "master_seed": args.seed},
+                         "master_seed": args.seed},
                         tuple(rows), time.monotonic() - t0, grid=grid,
-                        info={"max_jump": jump, "nan_cells": nan_cells,
-                              "jump_cells": None if cells is None else
-                              [list(cells[0]), list(cells[1])]})
-        where = "" if cells is None else f" at cells {cells[0]} -> {cells[1]}"
+                        info={"max_jump": jump,
+                              "jump_cells": [list(cells[0]), list(cells[1])]})
         print(f"surface [deutsch, {args.family}]: max adjacent jump "
-              f"{jump:.6f}{where}; {nan_cells} NaN cells")
+              f"{jump:.6f} at cells {cells[0]} -> {cells[1]}")
     write_csv(rec.rows, os.path.join(out, "surface.csv"))
     write_manifest(rec, os.path.join(out, "surface_manifest.json"))
     print(f"wrote {os.path.join(out, 'surface.csv')} ({len(rec.rows)} rows)")
@@ -339,13 +332,13 @@ def _cmd_maxent(args) -> int:
     print(f"entropy: {res.entropy_bits:.6f} bits "
           f"({res.iterations} ascent iterations, "
           f"projected-gradient norm {res.kkt_residual:.3e})")
-    _write_artifact(out, "maxent",
+    _write_artifact(out, RunRecord("maxent", {"system": args.system}, (),
+                                   time.monotonic() - t0),
                     {"system": args.system,
                      "state": _mat_json(res.state),
                      "entropy_bits": res.entropy_bits,
                      "iterations": res.iterations,
-                     "kkt_residual": res.kkt_residual},
-                    {"system": args.system}, t0)
+                     "kkt_residual": res.kkt_residual})
     return 0
 
 
@@ -419,11 +412,11 @@ def _cmd_fixedpoints(args) -> int:
     for k, b in enumerate(fs.basis):
         print(f"basis element {k + 1}:")
         print(_mat_lines(b))
-    _write_artifact(out, "fixedpoints",
+    _write_artifact(out, RunRecord("fixedpoints", {"system": args.system}, (),
+                                   time.monotonic() - t0),
                     {"system": args.system, "dimension": fs.dim,
                      "diagonal_slice": desc,
-                     "basis": [_mat_json(b) for b in fs.basis]},
-                    {"system": args.system}, t0)
+                     "basis": [_mat_json(b) for b in fs.basis]})
     return 0
 
 
@@ -451,7 +444,8 @@ def _cmd_kraus(args) -> int:
               f"{doc['channel_distance_to_reference']:.3e}")
         print(f"reference-set commutator residual at the maximally mixed "
               f"state: {doc['reference_commutator_residual']:.6f}")
-    _write_artifact(out, "kraus", doc, {"system": args.system}, t0)
+    _write_artifact(out, RunRecord("kraus", {"system": args.system}, (),
+                                   time.monotonic() - t0), doc)
     return 0
 
 

@@ -345,7 +345,7 @@ def ralph_closed_form(sys: CtcSystem) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
             f"singular fixed-point system at p={sys.p}: {exc}") from exc
-    tau = _sym(unvec(x, d))
+    tau = _sym(unvec(x))
     # The exact solution has unit trace (the map preserves trace), but the
     # system's conditioning grows like 1/p, so rounding error of order
     # eps/p survives the solve. Renormalize and widen the PSD guard

@@ -98,6 +98,8 @@ class RunRecord:
 
 
 def _check_unit_interval(name, values):
+    if len(values) == 0:
+        raise ValueError(f"no {name} values given")
     for v in values:
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"{name} value {v} outside [0, 1]")
@@ -129,15 +131,17 @@ class Fig2Config:
         if self.n_random < 1:
             raise ValueError("n_random must be at least 1")
         _check_unit_interval("s", self.s_values)
-        for p in self.p_values:
-            if not 0.0 <= p < 1.0:
-                raise ValueError(f"noise strength p={p} outside [0, 1)")
+        _check_unit_interval("p", self.p_values)
+        if 1.0 in self.p_values:
+            raise ValueError("noise strength p=1.0 outside [0, 1)")
+        if len(set(self.p_values)) != len(self.p_values):
+            raise ValueError(f"repeated noise strength in p_values {self.p_values}")
 
 
 @dataclass(frozen=True)
 class Fig3Config:
-    """Continuity surface: closed-form consistent-state entropy over a grid
-    of CR populations (eps_alpha, eps_beta), one row per cell.
+    """Continuity surface: closed-form consistent-state entropy of u3 over a
+    grid of CR populations (eps_alpha, eps_beta), one row per cell.
 
     The pure family puts the off-diagonal element at its PSD ceiling
     sqrt(eps (1 - eps)); the mixed family keeps it at zero. The published
@@ -148,9 +152,7 @@ class Fig3Config:
     family: str = "pure"
     eps_values: tuple[float, ...] = _DEFAULT_GRID
     p: float = 0.1
-    max_iter: int = 10000
     master_seed: int = 42
-    system: str = "u3"
 
     def __post_init__(self):
         object.__setattr__(self, "eps_values", tuple(self.eps_values))
@@ -159,8 +161,6 @@ class Fig3Config:
         _check_unit_interval("eps", self.eps_values)
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"closed-form solve needs 0 < p < 1, got {self.p}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 def _cr_qubit(family: str, s: float) -> np.ndarray:
@@ -233,7 +233,7 @@ def run_fig2(cfg: Fig2Config, *, jobs: int = 1, inject=None) -> RunRecord:
 
 
 def run_fig3(cfg: Fig3Config, *, jobs: int = 1) -> RunRecord:
-    """Run the continuity surface.
+    """Run the continuity surface on u3.
 
     One task per (eps_alpha, eps_beta) cell, row-major; each solves the
     noisy fixed point in closed form and records its entropy. The returned
@@ -243,7 +243,7 @@ def run_fig3(cfg: Fig3Config, *, jobs: int = 1) -> RunRecord:
     swapping the two CR qubits the grid must be transpose-symmetric.
     """
     t_start = time.monotonic()
-    sysdef = gallery()[cfg.system]
+    sysdef = gallery()["u3"]
     n = len(cfg.eps_values)
     tasks = list(range(n * n))
 
@@ -260,14 +260,11 @@ def run_fig3(cfg: Fig3Config, *, jobs: int = 1) -> RunRecord:
     rows = sorted(_run_tasks(worker, tasks, jobs), key=lambda r: r.task)
     grid = np.array([r.entropy_bits for r in rows]).reshape(n, n)
 
-    info = {}
-    if sysdef.split.d_cr == 4:
-        symmetric = cr_swap_symmetric(sysdef.unitary, sysdef.split)
-        info["cr_swap_symmetric"] = symmetric
-        info["transpose_asymmetry"] = transpose_asymmetry(grid)
-        if symmetric and info["transpose_asymmetry"] > 1e-9:
-            raise AssertionError(
-                "CR-swap symmetric circuit produced an asymmetric grid")
+    symmetric = cr_swap_symmetric(sysdef.unitary, sysdef.split)
+    info = {"cr_swap_symmetric": symmetric,
+            "transpose_asymmetry": transpose_asymmetry(grid)}
+    if symmetric and info["transpose_asymmetry"] > 1e-9:
+        raise AssertionError("CR-swap symmetric circuit produced an asymmetric grid")
     if n >= 2:
         jump, cells = continuity_metric(grid)
         info["max_jump"] = jump
@@ -309,25 +306,26 @@ def continuity_metric(grid):
     return float(jumps[k]), ((i, j), (i, j + 1))
 
 
-def deutsch_rule_grid(eps_values=_DEFAULT_GRID, family: str = "mixed",
-                      system: str = "u3") -> np.ndarray:
-    """Entropy grid for the maximum-entropy selection rule at p = 0.
+def deutsch_rule_grid(eps_values=_DEFAULT_GRID, family: str = "mixed") -> np.ndarray:
+    """Entropy grid of u3 under the maximum-entropy selection rule at p = 0.
 
-    One maximum-entropy solve per (eps_alpha, eps_beta) cell. Cells where
-    the solver cannot certify a consistent state are recorded as
-    NaN rather than aborting the grid.
+    One maximum-entropy solve per (eps_alpha, eps_beta) cell. A cell whose
+    solve fails raises ``ConvergenceError`` naming the cell, chained to the
+    solver's error.
     """
     _check_unit_interval("eps", eps_values)
-    sysdef = gallery()[system]
+    sysdef = gallery()["u3"]
     n = len(eps_values)
-    grid = np.full((n, n), np.nan)
+    grid = np.empty((n, n))
     for i, ea in enumerate(eps_values):
         for j, eb in enumerate(eps_values):
             sys = sysdef.system(rho_cr=_cr_pair(family, ea, eb))
             try:
                 grid[i, j] = max_entropy_fixed_state(sys).entropy_bits
-            except (ConvergenceError, ValueError):
-                pass
+            except (ConvergenceError, ValueError) as exc:
+                raise ConvergenceError(
+                    f"maximum-entropy solve failed at (eps_a, eps_b) = ({ea}, {eb}): {exc}"
+                ) from exc
     return grid
 
 

@@ -98,8 +98,7 @@ def _project(h: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return np.tensordot(coeffs, dirs, axes=1)
 
 
-def max_entropy_fixed_state(sys: CtcSystem, *, grad_tol: float = GRAD_TOL,
-                            max_iter: int = MAX_ASCENT_ITER) -> MaxEntResult:
+def max_entropy_fixed_state(sys: CtcSystem) -> MaxEntResult:
     """Maximum-entropy consistent state of the noiseless system.
 
     Projected gradient ascent with backtracking line search over the
@@ -107,8 +106,8 @@ def max_entropy_fixed_state(sys: CtcSystem, *, grad_tol: float = GRAD_TOL,
     ``P(I)/d`` (its eigenvalues above ``ENTROPY_CLAMP``). A step is
     accepted only when it keeps the compressed state positive definite and
     meets the Armijo condition. Stops when the projected gradient norm
-    falls below ``grad_tol`` or after ``max_iter`` steps. The anchor, its
-    consistency check and the fixed span all use one SVD of ``M - Id``.
+    falls below ``GRAD_TOL`` or after ``MAX_ASCENT_ITER`` steps. The anchor,
+    its consistency check and the fixed span all use one SVD of ``M - Id``.
     """
     m, r, l = _fixed_kernels(sys)
     anchor = _sym(apply_superoperator(_projector(r, l), maximally_mixed(sys.d_cv)))
@@ -127,10 +126,10 @@ def max_entropy_fixed_state(sys: CtcSystem, *, grad_tol: float = GRAD_TOL,
 
     kkt = 0.0
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ASCENT_ITER + 1):
         gp = _project(entropy_gradient(tau), dirs)
         kkt = float(np.linalg.norm(gp))
-        if kkt < grad_tol:
+        if kkt < GRAD_TOL:
             iterations -= 1
             break
         alpha = 1.0

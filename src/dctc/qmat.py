@@ -8,8 +8,8 @@ wrapped in classes. Conventions used throughout the package:
   chronology-violating (CV) side is ``a * d_cv + b``. This matches
   ``numpy.kron(cr_op, cv_op)``.
 * Entropies are in bits (base-2 logarithms).
-* Validation tolerances live in the module constants below; callers that
-  need looser or tighter checks pass them explicitly.
+* Validation tolerances live in the module constants below; only the PSD
+  guard of ``check_density`` can be widened by a caller.
 """
 
 from __future__ import annotations
@@ -37,21 +37,19 @@ def _as_square(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def check_density(rho, herm_tol: float = HERMITIAN_TOL,
-                  trace_tol: float = TRACE_TOL,
-                  psd_tol: float = PSD_TOL) -> np.ndarray:
+def check_density(rho, psd_tol: float = PSD_TOL) -> np.ndarray:
     """Validate a density matrix and return it as a complex array.
 
     Raises ``ValueError`` unless ``rho`` is square, Hermitian within
-    ``herm_tol`` (max-abs deviation), has unit trace within ``trace_tol``,
-    and has eigenvalues no smaller than ``-psd_tol``.
+    ``HERMITIAN_TOL`` (max-abs deviation), has unit trace within
+    ``TRACE_TOL``, and has eigenvalues no smaller than ``-psd_tol``.
     """
     a = _as_square(rho, "density matrix")
     herm_defect = np.abs(a - a.conj().T).max()
-    if herm_defect > herm_tol:
+    if herm_defect > HERMITIAN_TOL:
         raise ValueError(f"density matrix not Hermitian (defect {herm_defect:.3e})")
     tr = a.trace()
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"density matrix trace {tr} is not 1")
     w = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
     if w.min() < -psd_tol:
@@ -59,11 +57,11 @@ def check_density(rho, herm_tol: float = HERMITIAN_TOL,
     return a
 
 
-def check_unitary(u, tol: float = UNITARY_TOL) -> np.ndarray:
-    """Validate a unitary matrix (``u u^dag = 1`` within ``tol``) and return it."""
+def check_unitary(u) -> np.ndarray:
+    """Validate a unitary (``u u^dag = 1`` within ``UNITARY_TOL``) and return it."""
     a = _as_square(u, "unitary")
     defect = np.abs(a @ a.conj().T - np.eye(a.shape[0])).max()
-    if defect > tol:
+    if defect > UNITARY_TOL:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
     return a
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dctc import engines
+from dctc import engines, experiments
 
 
 @pytest.fixture
@@ -29,3 +29,25 @@ def superop_builds(monkeypatch):
 
     monkeypatch.setattr(engines, "superoperator", counting)
     return builds
+
+
+@pytest.fixture
+def fail_solve(monkeypatch):
+    """``fail_solve(k)``: the grid's k-th (0-based) maximum-entropy solve
+    raises the returned ``ConvergenceError``; the others run as usual."""
+
+    def arm(k):
+        real = experiments.max_entropy_fixed_state
+        cause = engines.ConvergenceError("injected solver failure")
+        calls = []
+
+        def solve(sys):
+            calls.append(sys)
+            if len(calls) == k + 1:
+                raise cause
+            return real(sys)
+
+        monkeypatch.setattr(experiments, "max_entropy_fixed_state", solve)
+        return cause
+
+    return arm

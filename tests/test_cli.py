@@ -99,9 +99,58 @@ def test_surface_deutsch(tmp_path, capsys):
     csv = _read_bytes(tmp_path / "surface.csv").decode().splitlines()
     assert len(csv) == 1 + 4
     assert all(line.split(",")[8] == "max-entropy" for line in csv[1:])
-    assert "0 NaN cells" in out
-    man = _read_json(tmp_path / "surface_manifest.json")
-    assert man["info"]["nan_cells"] == 0
+
+
+def test_surface_deutsch_failed_cell_exits_2(tmp_path, capsys, fail_solve):
+    """One cell's failed maximum-entropy solve is a numerical failure that
+    names the cell; no surface CSV is written."""
+    fail_solve(2)  # row-major: cell (1, 0) of the 2 x 2 grid
+    assert run(["surface", "--rule", "deutsch", "--grid-step", "1.0",
+                "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "(eps_a, eps_b) = (1.0, 0.0)" in err
+    assert "injected solver failure" in err
+    assert not os.path.exists(tmp_path / "surface.csv")
+
+
+def test_surface_has_no_system_flag(capsys):
+    assert run(["surface", "--system", "u3"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--s-values=", "--p-values=", "--p-values=0,0"])
+def test_sweep_rejects_empty_or_repeated_values(tmp_path, capsys, flag):
+    """Empty lists once wrote a header-only CSV, and a repeated p wrote
+    every (task, p) row twice; both are input errors now."""
+    assert run(["sweep", flag, "--n-random", "1", "--out-dir", str(tmp_path)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "sweep.csv")
+
+
+def test_every_manifest_has_one_schema(tmp_path):
+    """All six subcommands write their manifest through one writer."""
+    commands = {
+        "demo": ["demo", "u2-bistable"],
+        "sweep": ["sweep", "--s-values", "0", "--n-random", "1", "--max-iter", "50"],
+        "surface": ["surface", "--grid-step", "1.0"],
+        "maxent": ["maxent"],
+        "fixedpoints": ["fixedpoints"],
+        "kraus": ["kraus"],
+    }
+    schemas = {}
+    for name, argv in commands.items():
+        out = tmp_path / name
+        assert run(argv + ["--out-dir", str(out)]) == 0, name
+        (manifest,) = out.glob("*_manifest.json")
+        doc = _read_json(manifest)
+        schemas[name] = sorted(doc)
+        csvs = list(out.glob("*.csv"))
+        rows = len(_read_bytes(csvs[0]).splitlines()) - 1 if csvs else 0
+        assert doc["row_count"] == rows, name
+    assert all(keys == schemas["sweep"] for keys in schemas.values()), schemas
+    assert schemas["sweep"] == ["config", "experiment", "info", "row_count",
+                                "version", "wall_time_s"]
 
 
 def test_surface_invalid_step(capsys):

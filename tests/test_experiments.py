@@ -7,7 +7,8 @@ import pytest
 
 import dctc
 from dctc.channels import superoperator
-from dctc.engines import FIXED_SUBSPACE_SVD_TOL, consistency_residual, ralph_closed_form
+from dctc.engines import (FIXED_SUBSPACE_SVD_TOL, ConvergenceError, consistency_residual,
+                          ralph_closed_form)
 from dctc.experiments import (
     CONTINUITY_BUDGET,
     CSV_COLUMNS,
@@ -56,6 +57,30 @@ def test_config_validation():
         Fig3Config(eps_values=(-0.1, 0.5))
     with pytest.raises(ValueError):
         Fig3Config(family="neither")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Fig2Config(s_values=()),
+    lambda: Fig2Config(p_values=()),
+    lambda: Fig2Config(p_values=(0.0, 0.0)),
+    lambda: Fig2Config(p_values=(0.01, 0.0, 0.01)),
+    lambda: Fig3Config(eps_values=()),
+    lambda: deutsch_rule_grid(eps_values=()),
+], ids=["no-s", "no-p", "repeated-p", "repeated-p-apart", "no-eps", "grid-no-eps"])
+def test_empty_and_repeated_values_rejected(make):
+    """An empty value list would give a header-only CSV (or fail inside
+    numpy), and a repeated noise strength would write each row twice."""
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_deutsch_rule_grid_names_a_failed_cell(fail_solve):
+    """A failed solve stops the grid with the cell's populations, rather
+    than leaving a NaN cell behind."""
+    cause = fail_solve(2)  # row-major: cell (1, 0)
+    with pytest.raises(ConvergenceError, match=r"\(eps_a, eps_b\) = \(0\.5, 0\.0\)") as info:
+        deutsch_rule_grid(eps_values=(0.0, 0.5))
+    assert info.value.__cause__ is cause
 
 
 def test_run_fig2_small():

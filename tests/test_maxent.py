@@ -3,7 +3,7 @@ import pytest
 
 from dctc.channels import CtcSystem
 from dctc.engines import consistency_residual, deutsch_cesaro, fixed_subspace
-from dctc.gallery import gallery
+from dctc.gallery import cr_eps, gallery
 from dctc.maxent import (_project, _trace_zero_directions, entropy_gradient,
                          max_entropy_fixed_state)
 from dctc.qmat import (
@@ -62,6 +62,45 @@ def test_max_entropy_beats_sampled_consistent_states():
     for seed in range(10):
         out = deutsch_cesaro(sys, random_density(4, seed))
         assert best >= von_neumann_entropy(out.state) - 1e-6
+
+
+def _permutation_census():
+    """Seeded 8x8 permutation circuits: 300 in u2's shape (CR qubit in
+    |0>, four CV levels), then 60 in u3's shape (two CR qubits, one CV
+    qubit), each with the mixed and the pure CR pair at random
+    populations."""
+    rng = np.random.default_rng(2017)
+    ket0 = np.diag([1.0, 0.0]).astype(complex)
+    for _ in range(300):
+        yield CtcSystem(np.eye(8, dtype=complex)[rng.permutation(8)], ket0,
+                        DimSplit(2, 4))
+    for _ in range(60):
+        u = np.eye(8, dtype=complex)[rng.permutation(8)]
+        ea, eb = rng.uniform(0.0, 1.0, 2)
+        for da, db in ((0.0, 0.0), (np.sqrt(ea * (1 - ea)), np.sqrt(eb * (1 - eb)))):
+            yield CtcSystem(u, cr_eps(ea, da, eb, db), DimSplit(4, 2))
+
+
+def test_max_entropy_permutation_census():
+    """Off the gallery, every answer is finite and consistent, never below
+    the entropy of the anchor ``P(I)/d``, and equal to it when the
+    consistent set is the anchor alone."""
+    n_point = n_gap = 0
+    for k, sys in enumerate(_permutation_census()):
+        res = max_entropy_fixed_state(sys)
+        assert np.isfinite(res.state).all() and np.isfinite(res.entropy_bits), k
+        assert consistency_residual(sys, res.state) < 1e-12, k
+        anchor = deutsch_cesaro(sys, maximally_mixed(sys.d_cv)).state
+        gap = res.entropy_bits - von_neumann_entropy(anchor)
+        assert gap >= -1e-12, k
+        if fixed_subspace(sys).dim == 1:
+            assert abs(gap) <= 1e-12, k
+            n_point += 1
+        n_gap += gap > 1e-9
+    assert k == 419
+    # both kinds of case occur: a single consistent state, and a set the
+    # ascent has to climb above its anchor
+    assert n_point > 0 and n_gap > 0
 
 
 def test_max_entropy_deterministic():
