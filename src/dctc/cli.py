@@ -338,7 +338,8 @@ def _cmd_maxent(args) -> int:
                      "state": _mat_json(res.state),
                      "entropy_bits": res.entropy_bits,
                      "iterations": res.iterations,
-                     "kkt_residual": res.kkt_residual})
+                     "kkt_residual": res.kkt_residual,
+                     "converged": res.converged})
     return 0
 
 

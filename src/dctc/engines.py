@@ -31,7 +31,11 @@ every start with it:
   (ratio of Frobenius motions >= 0.99). Without the guards, an alternating
   orbit that is merely converging (a negative real eigenvalue of the map)
   would be misreported as a period-2 cycle. Guards use Frobenius norms;
-  the match itself uses trace distance.
+  the match itself uses trace distance. The window of the last
+  ``_CYCLE_WINDOW`` states is a sliding view of a buffer twice that size,
+  allocated per call; one numpy pass gives the Frobenius distance from the
+  new iterate to every entry, and only lags within ``tol`` in that norm
+  (a necessary condition) are checked further, smallest lag first.
 * at p > 0, the contraction: every start advances together as one stacked
   matvec per step, with no cycle scan (a strict contraction has no
   nontrivial cycle). Each start stops, and its row is computed, exactly as
@@ -121,55 +125,74 @@ def _sym(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + x.conj().T)
 
 
-def _run_orbit(m: np.ndarray, x: np.ndarray, cfg: EngineConfig) -> IterationOutcome:
+def _run_orbit(m: np.ndarray, perm: np.ndarray, x: np.ndarray,
+               cfg: EngineConfig) -> IterationOutcome:
     """Drive the noiseless loop map ``m`` (a superoperator matrix) from the
-    Hermitian start ``x`` until fixed point, cycle, or exhaustion."""
+    Hermitian start ``x`` until fixed point, cycle, or exhaustion; ``perm``
+    is the adjoint's index map, vec(X^H) = conj(vec(X)[perm])."""
     d = x.shape[0]
+    # The orbit is kept as column-stacked vecs. Every iterate is exactly
+    # Hermitian, so column by column its entries' moduli come in the order
+    # they do row by row: the Frobenius sums below take the terms
+    # np.linalg.norm takes on the matrices, in its order, and give its bits.
 
-    def step(y):
-        return _sym((m @ y.reshape(-1, order="F")).reshape(d, d, order="F"))
+    def step(v):  # vec(_sym(unvec(m @ v)))
+        y = m @ v
+        return 0.5 * (y + y[perm].conj())
 
-    window = [x]          # x_0 .. x_{n-1}, trimmed to _CYCLE_WINDOW entries
-    motions = [np.inf]    # Frobenius ||x_k - x_{k-1}||, aligned with window
+    def mat(v):
+        return v.reshape(d, d, order="F")
+
+    # The window x_{n-w} .. x_{n-1} (w <= _CYCLE_WINDOW) is the view
+    # buf[lo:hi] of a buffer twice its size, so it slides without copying;
+    # a full buffer is compacted once every _CYCLE_WINDOW steps. motions[k]
+    # is the Frobenius ||buf[k] - its predecessor||, inf for x_0.
+    buf = np.empty((2 * _CYCLE_WINDOW, d * d), dtype=complex)
+    motions = np.empty(2 * _CYCLE_WINDOW)
+    v = x.reshape(-1, order="F")
+    buf[0], motions[0] = v, np.inf
+    lo, hi = 0, 1
     tol = cfg.tol
 
     for n in range(1, cfg.max_iter + 1):
-        x_new = step(x)
-        d1_fro = float(np.linalg.norm(x_new - x))
+        v_new = step(v)
+        diff = v_new - v
+        d1_fro = float(np.sqrt(diff.real.dot(diff.real) + diff.imag.dot(diff.imag)))
 
         # Fixed point: trace distance between successive iterates below tol.
-        if 0.5 * d1_fro < tol and trace_distance(x_new, x) < tol:
-            return IterationOutcome("converged", x_new, n,
-                                    trace_distance(step(x_new), x_new))
+        if 0.5 * d1_fro < tol and trace_distance(mat(v_new), mat(v)) < tol:
+            return IterationOutcome("converged", mat(v_new).copy(), n,
+                                    trace_distance(mat(step(v_new)), mat(v_new)))
 
-        # Cycle scan over lags 2..window, smallest lag wins.
-        if 0.5 * d1_fro >= _CYCLE_GUARD * tol and len(window) >= 2:
-            stack = np.stack(window)
-            fro = np.linalg.norm((stack - x_new).reshape(len(window), -1), axis=1)
-            for lag in range(2, len(window) + 1):
-                k = len(window) - lag  # window[k] is x_{n-lag}
-                if 0.5 * fro[k] >= tol:
-                    continue
-                if trace_distance(x_new, window[k]) >= tol:
+        # Cycle scan over lags 2..w, smallest lag wins: only entries within
+        # tol in Frobenius norm can be within tol in trace distance.
+        if 0.5 * d1_fro >= _CYCLE_GUARD * tol and hi - lo >= 2:
+            gap = buf[lo:hi - 1] - v_new
+            fro = np.sqrt(np.add.reduce((gap.conj() * gap).real, axis=1))
+            for k in (0.5 * fro < tol).nonzero()[0][::-1] + lo:  # buf[k] is x_{n-lag}
+                if trace_distance(mat(v_new), mat(buf[k])) >= tol:
                     continue
                 prev_motion = motions[k]
                 if not np.isfinite(prev_motion) or prev_motion <= 0:
                     continue  # not enough history; keep iterating
                 if d1_fro / prev_motion < _CYCLE_DECAY_MIN:
                     continue  # motion is decaying: converging, not cycling
-                cycle = tuple(window[len(window) - lag:])
+                cycle = tuple(mat(c).copy() for c in buf[k:hi])
                 return IterationOutcome("cycle", _sym(sum(cycle) / len(cycle)), n,
-                                        trace_distance(step(cycle[-1]), cycle[0]),
+                                        trace_distance(mat(step(buf[hi - 1])), cycle[0]),
                                         cycle)
 
-        window.append(x_new)
-        motions.append(d1_fro)
-        if len(window) > _CYCLE_WINDOW:
-            window.pop(0)
-            motions.pop(0)
-        x = x_new
+        if hi == len(buf):
+            keep = _CYCLE_WINDOW - 1
+            buf[:keep], motions[:keep] = buf[hi - keep:hi], motions[hi - keep:hi]
+            lo, hi = 0, keep
+        buf[hi], motions[hi] = v_new, d1_fro
+        hi += 1
+        lo = max(lo, hi - _CYCLE_WINDOW)
+        v = v_new
 
-    return IterationOutcome("exhausted", x, cfg.max_iter, trace_distance(step(x), x))
+    return IterationOutcome("exhausted", mat(v).copy(), cfg.max_iter,
+                            trace_distance(mat(step(v)), mat(v)))
 
 
 def _trace_distances(diffs: np.ndarray, d: int) -> np.ndarray:
@@ -202,11 +225,11 @@ def ralph_iterate_many(sys: CtcSystem, tau0s,
     if not starts:
         return []
     m = superoperator(sys, include_noise=True)  # the noiseless map at p = 0
-    if sys.p == 0.0:
-        return [_run_orbit(m, x, cfg) for x in starts]
     d, tol = sys.d_cv, cfg.tol
     # vec(X^H) = conj(vec(X)[perm])
     perm = np.arange(d * d).reshape(d, d).T.ravel()
+    if sys.p == 0.0:
+        return [_run_orbit(m, perm, x, cfg) for x in starts]
     k = len(starts)
     x = np.stack([t.reshape(-1, order="F") for t in starts])[:, :, None]
     y, t = np.empty_like(x), np.empty_like(x)

@@ -67,7 +67,7 @@ def derive_seed(master_seed: int, task: int) -> int:
     return int.from_bytes(h[:8], "little")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunRow:
     """One CSV row; fields that do not apply to the experiment are None."""
 

@@ -51,12 +51,15 @@ class MaxEntResult:
     entropy_bits : its von Neumann entropy, ``+0.0`` for a pure state
     iterations : gradient-ascent steps taken (0 when the set is a point)
     kkt_residual : Frobenius norm of the final projected gradient
+    converged : whether the ascent stopped on ``kkt_residual < GRAD_TOL``;
+        False when it ran out of steps or its line search found no step
     """
 
     state: np.ndarray
     entropy_bits: float
     iterations: int
     kkt_residual: float
+    converged: bool
 
 
 def entropy_gradient(rho) -> np.ndarray:
@@ -106,7 +109,8 @@ def max_entropy_fixed_state(sys: CtcSystem) -> MaxEntResult:
     ``P(I)/d`` (its eigenvalues above ``ENTROPY_CLAMP``). A step is
     accepted only when it keeps the compressed state positive definite and
     meets the Armijo condition. Stops when the projected gradient norm
-    falls below ``GRAD_TOL`` or after ``MAX_ASCENT_ITER`` steps. The anchor,
+    falls below ``GRAD_TOL`` (``converged``), or unconverged after
+    ``MAX_ASCENT_ITER`` steps or a failed line search. The anchor,
     its consistency check and the fixed span all use one SVD of ``M - Id``.
     """
     m, r, l = _fixed_kernels(sys)
@@ -126,11 +130,13 @@ def max_entropy_fixed_state(sys: CtcSystem) -> MaxEntResult:
 
     kkt = 0.0
     iterations = 0
+    converged = False
     for iterations in range(1, MAX_ASCENT_ITER + 1):
         gp = _project(entropy_gradient(tau), dirs)
         kkt = float(np.linalg.norm(gp))
         if kkt < GRAD_TOL:
             iterations -= 1
+            converged = True
             break
         alpha = 1.0
         while alpha > 1e-18:
@@ -146,4 +152,4 @@ def max_entropy_fixed_state(sys: CtcSystem) -> MaxEntResult:
 
     state = v @ tau @ v.conj().T
     return MaxEntResult(0.5 * (state + state.conj().T),
-                        0.0 if entropy <= 0.0 else entropy, iterations, kkt)
+                        0.0 if entropy <= 0.0 else entropy, iterations, kkt, converged)

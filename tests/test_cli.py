@@ -164,6 +164,7 @@ def test_maxent(tmp_path, capsys):
     assert "entropy: 1.584963 bits" in out
     doc = _read_json(tmp_path / "maxent.json")
     assert abs(doc["entropy_bits"] - np.log2(3)) < 1e-4
+    assert doc["converged"] is True
     state = np.array(doc["state"]["real"])
     assert np.abs(state - np.diag([1 / 3, 0, 1 / 3, 1 / 3])).max() < 1e-4
 

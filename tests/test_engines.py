@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
 
+from dctc import engines
 from dctc.channels import CtcSystem, apply_superoperator, cv_map, superoperator
 from dctc.engines import (
+    _CYCLE_DECAY_MIN,
+    _CYCLE_GUARD,
+    _CYCLE_WINDOW,
     ConvergenceError,
     EngineConfig,
+    IterationOutcome,
     _ergodic_projector,
+    _sym,
     allen_cesaro,
     consistency_residual,
     deutsch_cesaro,
@@ -15,8 +21,9 @@ from dctc.engines import (
     ralph_iterate,
     ralph_iterate_many,
 )
-from dctc.gallery import gallery
-from dctc.qmat import DimSplit, maximally_mixed, random_density, trace_distance
+from dctc.gallery import cr_mixed, cr_pure, gallery
+from dctc.qmat import (DimSplit, check_density, maximally_mixed, random_density,
+                       trace_distance)
 
 STABLE = np.diag([0.5, 0.0, 0.25, 0.25]).astype(complex)
 FLAT = np.diag([1 / 3, 0.0, 1 / 3, 1 / 3]).astype(complex)
@@ -427,3 +434,179 @@ def test_ralph_iterate_many_noiseless(name):
         assert _same_outcome(out, rev)
         if out.status == "exhausted":
             assert out.steps == cfg.max_iter
+
+
+def _reference_scan(m, x, cfg):
+    """Reference: the cycle scan over a list window, re-stacked every step,
+    with one Python test per lag, smallest lag first."""
+    d = x.shape[0]
+
+    def step(y):
+        return _sym((m @ y.reshape(-1, order="F")).reshape(d, d, order="F"))
+
+    window = [x]          # x_0 .. x_{n-1}, trimmed to _CYCLE_WINDOW entries
+    motions = [np.inf]    # Frobenius ||x_k - x_{k-1}||, aligned with window
+    tol = cfg.tol
+
+    for n in range(1, cfg.max_iter + 1):
+        x_new = step(x)
+        d1_fro = float(np.linalg.norm(x_new - x))
+
+        # Fixed point: trace distance between successive iterates below tol.
+        if 0.5 * d1_fro < tol and trace_distance(x_new, x) < tol:
+            return IterationOutcome("converged", x_new, n,
+                                    trace_distance(step(x_new), x_new))
+
+        # Cycle scan over lags 2..window, smallest lag wins.
+        if 0.5 * d1_fro >= _CYCLE_GUARD * tol and len(window) >= 2:
+            stack = np.stack(window)
+            fro = np.linalg.norm((stack - x_new).reshape(len(window), -1), axis=1)
+            for lag in range(2, len(window) + 1):
+                k = len(window) - lag  # window[k] is x_{n-lag}
+                if 0.5 * fro[k] >= tol:
+                    continue
+                if trace_distance(x_new, window[k]) >= tol:
+                    continue
+                prev_motion = motions[k]
+                if not np.isfinite(prev_motion) or prev_motion <= 0:
+                    continue  # not enough history; keep iterating
+                if d1_fro / prev_motion < _CYCLE_DECAY_MIN:
+                    continue  # motion is decaying: converging, not cycling
+                cycle = tuple(window[len(window) - lag:])
+                return IterationOutcome("cycle", _sym(sum(cycle) / len(cycle)), n,
+                                        trace_distance(step(cycle[-1]), cycle[0]),
+                                        cycle)
+
+        window.append(x_new)
+        motions.append(d1_fro)
+        if len(window) > _CYCLE_WINDOW:
+            window.pop(0)
+            motions.pop(0)
+        x = x_new
+
+    return IterationOutcome("exhausted", x, cfg.max_iter, trace_distance(step(x), x))
+
+
+def _assert_reference_scan(sys, starts, cfg):
+    """``ralph_iterate_many`` at p = 0 gives each start the reference scan's
+    outcome bit for bit."""
+    m = superoperator(sys, include_noise=True)
+    outs = ralph_iterate_many(sys, starts, cfg)
+    for tau0, out in zip(starts, outs):
+        ref = _reference_scan(m, _sym(check_density(tau0)), cfg)
+        assert _same_outcome(out, ref)
+        assert out.state.tobytes() == ref.state.tobytes()
+    return outs
+
+
+def _permutation_system(d_cr, d_cv, seed):
+    """A permuted basis on CR (x) CV with a random diagonal CR input: its
+    noiseless orbits cycle, converge, or wander among permuted states."""
+    rng = np.random.default_rng(seed)
+    perm = np.eye(d_cr * d_cv, dtype=complex)[rng.permutation(d_cr * d_cv)]
+    return CtcSystem(perm, np.diag(rng.dirichlet(np.ones(d_cr))).astype(complex),
+                     DimSplit(d_cr, d_cv))
+
+
+SCAN_SHAPES = [(2, 2), (3, 2), (2, 3), (4, 3), (2, 4)]
+
+
+@pytest.mark.parametrize("max_iter", [40, 2000])
+@pytest.mark.parametrize("case", ["u1", "u2", "haar", "permutation"])
+def test_cycle_scan_matches_reference(case, max_iter, haar):
+    """The buffered scan is the reference scan bit for bit: status, steps,
+    state, residual and cycle states, on gallery circuits at several CR
+    inputs of both families and on seeded Haar and permutation circuits."""
+    cfg = EngineConfig(max_iter=max_iter)
+    if case in ("u1", "u2"):
+        systems = [gallery()[case].system(rho_cr=cr(s))
+                   for cr in (cr_mixed, cr_pure) for s in (0.0, 0.3, 1.0)]
+    elif case == "haar":
+        systems = [CtcSystem(haar(d_cr * d_cv, np.random.default_rng(80 + i)),
+                             random_density(d_cr, 90 + i), DimSplit(d_cr, d_cv))
+                   for i, (d_cr, d_cv) in enumerate(SCAN_SHAPES)]
+    else:
+        systems = [_permutation_system(d_cr, d_cv, 110 + 10 * i + j)
+                   for i, (d_cr, d_cv) in enumerate(SCAN_SHAPES) for j in range(2)]
+    statuses = set()
+    for sys in systems:
+        starts = [random_density(sys.d_cv, 500 + k) for k in range(3)]
+        statuses |= {out.status for out in _assert_reference_scan(sys, starts, cfg)}
+    assert "converged" in statuses
+    if case in ("u1", "permutation"):
+        assert "cycle" in statuses
+    if max_iter == 40:
+        assert "exhausted" in statuses
+
+
+def _qubit_rotation(period):
+    """CV qubit turned about z by 2 pi / period at every pass, CR |0><0|."""
+    u = np.kron(np.eye(2), np.diag([1.0, np.exp(2j * np.pi / period)]))
+    return CtcSystem(u, np.diag([1.0, 0.0]).astype(complex), DimSplit(2, 2))
+
+
+def _damped_qutrit_rotation(period, q=0.05):
+    """CV qutrit: levels 0 and 1 turn by 2 pi / period at every pass; level
+    2's coherences flip sign with probability ``q`` (CR diag(1 - q, q)), so
+    they decay by 1 - 2q per pass and the orbit settles on the turn only
+    after the scan buffer has compacted."""
+    turn = np.diag([1.0, np.exp(2j * np.pi / period), 1.0])
+    flip = np.diag([1.0, np.exp(2j * np.pi / period), -1.0])
+    u = np.kron(np.diag([1.0, 0.0]), turn) + np.kron(np.diag([0.0, 1.0]), flip)
+    return CtcSystem(u, np.diag([1.0 - q, q]).astype(complex), DimSplit(2, 3))
+
+
+PLUS = np.full((2, 2), 0.5, dtype=complex)
+
+
+@pytest.mark.parametrize("period,status,steps", [
+    (63, "cycle", 64), (64, "cycle", 65), (65, "exhausted", 400)])
+def test_cycle_scan_window_edge(period, status, steps):
+    """The window holds the last _CYCLE_WINDOW = 64 states: a rotation of
+    period 64 is caught one step after it closes; period 65 never is."""
+    cfg = EngineConfig(max_iter=400)
+    (out,) = _assert_reference_scan(_qubit_rotation(period), [PLUS], cfg)
+    assert (out.status, out.steps) == (status, steps)
+    if status == "cycle":
+        assert out.period == period
+
+
+@pytest.mark.parametrize("period,q,steps", [
+    (5, 0.05, 201), (40, 0.05, 244), (64, 0.05, 268), (64, 0.1414, 129)])
+def test_cycle_scan_after_compaction(period, q, steps):
+    """Cycles first seen past the buffer's compaction at step 128 (every
+    64 steps after): at step 129 the scan's first look at the compacted
+    window still reaches lag 64."""
+    cfg = EngineConfig(max_iter=2000)
+    (out,) = _assert_reference_scan(_damped_qutrit_rotation(period, q),
+                                    [random_density(3, 11)], cfg)
+    assert (out.status, out.steps, out.period) == ("cycle", steps, period)
+
+
+def test_cycle_scan_prefers_the_smallest_lag():
+    """Lags 2 and 4 pass every check at step 5, so the scan's order decides.
+
+    A linear map on qubit Pauli coefficients flips A and turns
+    B -> B' -> -B, so the orbit from x_0 = I/2 + (a A + B) . sigma has
+    period 4 (a difference r . sigma is |r| apart in trace distance); with
+    |B'| < tol / 2 < |B| it is within tol of period 2 at odd steps only.
+    The lag-1 motion clears the 10 tol guard at steps 4k and 4k + 1 only,
+    so lag 2 is first weighed at step 5, when lag 4 (back to x_1) passes
+    too. The smaller period wins, as in the reference scan.
+    """
+    cfg = EngineConfig(tol=1e-3)
+    e = np.eye(3)
+    a, flip_a = 5.0 * np.sqrt(2.0) * cfg.tol, (e[0] + e[2]) / np.sqrt(2.0)
+    b, b_turned = 0.75 * cfg.tol * e[0], 0.25 * cfg.tol * e[1]
+    cols = np.stack([flip_a, b, b_turned], axis=1)
+    bloch = cols @ np.array([[-1.0, 0, 0], [0, 0, -1], [0, 1, 0]]) @ np.linalg.inv(cols)
+    sigma = [np.array(s, dtype=complex) for s in
+             ([[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])]
+    vecs = np.stack([s.reshape(-1, order="F") for s in sigma], axis=1)
+    m = vecs @ np.block([[np.ones((1, 1)), np.zeros((1, 3))],
+                         [np.zeros((3, 1)), bloch]]) @ np.linalg.inv(vecs)
+    r0 = a * flip_a + b
+    x0 = 0.5 * sigma[0] + sum(c * s for c, s in zip(r0, sigma[1:]))
+    out = engines._run_orbit(m, np.array([0, 2, 1, 3]), x0, cfg)
+    assert (out.status, out.steps, out.period) == ("cycle", 5, 2)
+    assert _same_outcome(out, _reference_scan(m, x0, cfg))

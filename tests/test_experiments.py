@@ -1,6 +1,9 @@
+import copy
+import dataclasses
 import json
 import math
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -343,6 +346,18 @@ def test_write_csv_format(tmp_path):
     assert lines[1] == "fig2,mixed,0.5,,,0.01,3,12345,converged,1.5,1e-10,42"
     assert lines[2] == ("fig3,pure,,0.1,0.2,0.1,0,99,closed-form,"
                         "0.918295834054,0,0")
+
+
+def test_run_row_is_slotted_and_frozen():
+    """Rows carry no per-instance ``__dict__``, stay immutable, and copy and
+    pickle to equal rows."""
+    row = RunRow("fig2", "mixed", 0.5, None, None, 0.01, 3, 12345, "converged",
+                 1.5, 1e-10, 42)
+    assert not hasattr(row, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.steps = 0
+    assert copy.deepcopy(row) == row
+    assert pickle.loads(pickle.dumps(row)) == row
 
 
 def test_write_csv_deterministic(tmp_path):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from dctc import maxent
 from dctc.channels import CtcSystem
 from dctc.engines import consistency_residual, deutsch_cesaro, fixed_subspace
 from dctc.gallery import cr_eps, gallery
-from dctc.maxent import (_project, _trace_zero_directions, entropy_gradient,
+from dctc.maxent import (GRAD_TOL, _project, _trace_zero_directions, entropy_gradient,
                          max_entropy_fixed_state)
 from dctc.qmat import (
     DimSplit,
@@ -43,6 +44,18 @@ def test_max_entropy_cycling():
     res = max_entropy_fixed_state(gallery()["u1"].system())
     assert np.abs(res.state - FLAT).max() < 1e-6
     assert res.iterations == 0
+    assert res.converged is True
+
+
+def test_max_entropy_reports_a_stall(monkeypatch):
+    """``converged`` holds only when the ascent stopped on ``GRAD_TOL``; a
+    run cut off by the step cap returns its last iterate marked unconverged."""
+    sys = gallery()["u2"].system()
+    assert max_entropy_fixed_state(sys).converged is True
+    monkeypatch.setattr(maxent, "MAX_ASCENT_ITER", 1)
+    res = max_entropy_fixed_state(sys)
+    assert res.converged is False
+    assert res.iterations == 1 and res.kkt_residual >= GRAD_TOL
 
 
 def test_max_entropy_identity_unitary():
