@@ -38,8 +38,15 @@ every start with it:
   (a necessary condition) are checked further, smallest lag first.
 * at p > 0, the contraction: every start advances together as one stacked
   matvec per step, with no cycle scan (a strict contraction has no
-  nontrivial cycle). Each start stops, and its row is computed, exactly as
-  a lone run of the same start would.
+  nontrivial cycle). Up to ``_NOISY_BLOCK`` steps run per Python round
+  trip, into a buffer of the block's iterates kept near ``_NOISY_BUFFER``
+  entries by shortening the block at large k. One stop test per block (a
+  Frobenius prefilter, then one batched trace distance on the candidates)
+  finds each start's first step within ``tol``; a start that stops inside
+  the block keeps that step's iterate and count, the others go on from the
+  block's last row, and the last block is cut short at ``max_iter``. Each
+  start stops, and its row is computed, exactly as a lone run of the same
+  start would.
 """
 
 from __future__ import annotations
@@ -64,6 +71,8 @@ FIXED_SUBSPACE_SVD_TOL = 1e-8
 _CYCLE_GUARD = 10.0
 _CYCLE_DECAY_MIN = 0.99
 _CYCLE_WINDOW = 64  # orbit states the cycle scan keeps
+_NOISY_BLOCK = 32  # most p > 0 steps per Python round trip
+_NOISY_BUFFER = 2 ** 16  # complex entries a p > 0 block aims to fit in
 
 
 class ConvergenceError(RuntimeError):
@@ -213,11 +222,12 @@ def ralph_iterate_many(sys: CtcSystem, tau0s,
     in ``tau0s``, building the loop map once for the whole call.
 
     At p = 0 each start runs the cycle scan in turn. At p > 0 all starts
-    advance together as one stacked matrix-vector product per step, with
-    no cycle scan (a strict contraction has no nontrivial cycle): a start
-    stops at the first step whose iterate is within ``tol`` of the previous
-    one in trace distance, or is "exhausted" after ``max_iter`` steps with
-    its last iterate. Either way each outcome is bit for bit the one for
+    advance together as one stacked matrix-vector product per step, in
+    blocks of steps with one stop test each, and with no cycle scan (a
+    strict contraction has no nontrivial cycle): a start stops at the first
+    step whose iterate is within ``tol`` of the previous one in trace
+    distance, or is "exhausted" after ``max_iter`` steps with its last
+    iterate. Either way each outcome is bit for bit the one for
     that start alone, whichever other starts share the call.
     """
     cfg = cfg or EngineConfig()
@@ -230,52 +240,71 @@ def ralph_iterate_many(sys: CtcSystem, tau0s,
     perm = np.arange(d * d).reshape(d, d).T.ravel()
     if sys.p == 0.0:
         return [_run_orbit(m, perm, x, cfg) for x in starts]
-    k = len(starts)
+    k, dd = len(starts), d * d
+    # The block buffer holds (B + 1) iterates of every live column: B steps
+    # per Python round trip, with B shrunk at large k so the buffer stays
+    # near _NOISY_BUFFER entries, and grown back up to _NOISY_BLOCK as
+    # columns stop and the stack narrows into the same storage.
+    cap = (max(1, min(_NOISY_BLOCK, _NOISY_BUFFER // (k * dd))) + 1) * k * dd
+    store, dstore = np.empty(cap, dtype=complex), np.empty(cap, dtype=complex)
     x = np.stack([t.reshape(-1, order="F") for t in starts])[:, :, None]
-    y, t = np.empty_like(x), np.empty_like(x)
-    fro2 = np.empty((k, 1, 1))
     live = np.arange(k)  # start index of each stacked column
     last = [None] * k
     steps = [cfg.max_iter] * k
     status = ["exhausted"] * k
-    # The lone run also stops only when 0.5 * ||diff||_F < tol. A traceless
-    # Hermitian difference has ||diff||_1 >= sqrt(2) ||diff||_F, so every
-    # column whose trace distance is below tol passes this prefilter with a
-    # factor sqrt(2) to spare: the trace distance alone decides a stop.
-    fro_bound = (2.0 * tol) ** 2
-    a = 0
-    for n in range(1, cfg.max_iter + 1):
-        if a != live.size:  # (re)build the views when the stack shrinks
+    # The lone run also stops only when 0.5 * ||diff||_F < tol. A Hermitian
+    # difference of two unit-trace iterates has ||diff||_F^2 <=
+    # (||diff||_1^2 + tr(diff)^2) / 2, and its trace is a rounding error of
+    # one step, so every column whose trace distance is below tol has
+    # ||diff||_F^2 < 2 tol^2 and passes both this prefilter and the lone
+    # run's: the trace distance alone decides a stop. The bound leaves room
+    # for |tr(diff)| up to tol / sqrt(2) and prunes most columns whose
+    # trace distance is still above tol before their eigvalsh.
+    fro_bound = 2.25 * tol * tol
+    a = n = 0  # live columns the views are built for; steps taken
+    while live.size and n < cfg.max_iter:
+        if a != live.size:  # (re)build the views when the stack narrows
             a = live.size
-            x, y, t, fro2 = x[:a], y[:a], t[:a], fro2[:a]
-            f = t.view(float).reshape(a, 1, -1)
+            nb = min(_NOISY_BLOCK, cap // (a * dd) - 1)
+            xs = store[:(nb + 1) * a * dd].reshape(nb + 1, a, dd, 1)
+            diff = dstore[:nb * a * dd].reshape(nb, a, dd, 1)
+            t, fro2 = np.empty((a, dd, 1), dtype=complex), np.empty((nb * a, 1, 1))
+            f = diff.view(float).reshape(nb * a, 1, -1)
             ft = f.transpose(0, 2, 1)
-        # y = _sym(step(x)), elementwise as the lone run computes it. On a
-        # (k, d*d, 1) stack numpy runs one matrix-vector product per start,
-        # which keeps the bits of the lone ``m @ vec``; the matrix product
-        # ``m @ X`` sums in another order and does not.
-        np.matmul(m, x, out=y)
-        np.take(y, perm, axis=1, out=t, mode="clip")
-        np.conjugate(t, out=t)
-        np.add(y, t, out=y)
-        np.multiply(y, 0.5, out=y)
-        np.subtract(y, x, out=t)
-        np.matmul(f, ft, out=fro2)
-        if fro2.min() < fro_bound:
-            near = np.flatnonzero(fro2 < fro_bound)
-            done = near[_trace_distances(t[near, :, 0], d) < tol]
-            if done.size:
-                for c in done:
+        b = min(nb, cfg.max_iter - n)
+        xs[0] = x
+        for j in range(b):
+            # xs[j + 1] = _sym(step(xs[j])), elementwise as the lone run
+            # computes it. On a (k, d*d, 1) stack numpy runs one
+            # matrix-vector product per start, which keeps the bits of the
+            # lone ``m @ vec``; the matrix product ``m @ X`` sums in another
+            # order and does not. Folding the 0.5 into ``m`` is exact only
+            # off subnormals, which noisy orbits do reach.
+            y = xs[j + 1]
+            np.matmul(m, xs[j], out=y)
+            np.take(y, perm, axis=1, out=t, mode="clip")
+            np.conjugate(t, out=t)
+            np.add(y, t, out=y)
+            np.multiply(y, 0.5, out=y)
+        # One stop test for the block: row j * a + c of the flattened
+        # differences is column c's motion at step n + j + 1; each column
+        # stops at its first row within tol in trace distance.
+        np.subtract(xs[1:b + 1], xs[:b], out=diff[:b])
+        np.matmul(f[:b * a], ft[:b * a], out=fro2[:b * a])
+        x = xs[b]
+        if fro2[:b * a].min() < fro_bound:
+            near = np.flatnonzero(fro2[:b * a] < fro_bound)
+            near = near[_trace_distances(diff.reshape(-1, dd)[near], d) < tol]
+            cols, first = np.unique(near % a, return_index=True)
+            if cols.size:
+                for c, j in zip(cols, near[first] // a):
                     i = live[c]
-                    last[i], steps[i], status[i] = y[c, :, 0].copy(), n, "converged"
+                    last[i], steps[i] = xs[j + 1, c, :, 0].copy(), n + int(j) + 1
+                    status[i] = "converged"
                 keep = np.ones(a, dtype=bool)
-                keep[done] = False
-                live = live[keep]
-                if not live.size:
-                    break
-                np.compress(keep, y, axis=0, out=x[:live.size])
-                continue
-        x, y = y, x
+                keep[cols] = False
+                live, x = live[keep], x[keep]
+        n += b
     for c, i in enumerate(live):
         last[i] = x[c, :, 0].copy()
     # Residual: trace distance between the noisy map's image of each final

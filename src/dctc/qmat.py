@@ -44,6 +44,12 @@ def check_density(rho, psd_tol: float = PSD_TOL) -> np.ndarray:
     ``HERMITIAN_TOL`` (max-abs deviation), has unit trace within
     ``TRACE_TOL``, and has eigenvalues no smaller than ``-psd_tol``.
     """
+    return _checked_spectrum(rho, psd_tol)[0]
+
+
+def _checked_spectrum(rho, psd_tol: float = PSD_TOL):
+    """``check_density`` on ``rho``, returning the checked array and the
+    spectrum its PSD check took, ``eigvalsh(0.5 * (a + a^H))``."""
     a = _as_square(rho, "density matrix")
     herm_defect = np.abs(a - a.conj().T).max()
     if herm_defect > HERMITIAN_TOL:
@@ -54,7 +60,7 @@ def check_density(rho, psd_tol: float = PSD_TOL) -> np.ndarray:
     w = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
     if w.min() < -psd_tol:
         raise ValueError(f"density matrix has negative eigenvalue {w.min():.3e}")
-    return a
+    return a, w
 
 
 def check_unitary(u) -> np.ndarray:
@@ -124,10 +130,9 @@ def von_neumann_entropy(rho) -> float:
     Eigenvalues below the clamp threshold ``1e-12`` are treated as zero,
     and a sum at or below zero (a pure state, whose eigenvalue may round to
     ``1 + 2.2e-16``) is reported as ``+0.0``. The input must pass
-    ``check_density``.
+    ``check_density``, whose spectrum the entropy reuses.
     """
-    a = check_density(rho)
-    w = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
+    w = _checked_spectrum(rho)[1]
     w = w[w > ENTROPY_CLAMP]
     s = float(-(w * np.log(w)).sum() / _LOG2)
     return 0.0 if s <= 0.0 else s

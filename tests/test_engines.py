@@ -21,7 +21,7 @@ from dctc.engines import (
     ralph_iterate,
     ralph_iterate_many,
 )
-from dctc.gallery import cr_mixed, cr_pure, gallery
+from dctc.gallery import cr_eps, cr_mixed, cr_pure, gallery
 from dctc.qmat import (DimSplit, check_density, maximally_mixed, random_density,
                        trace_distance)
 
@@ -410,6 +410,107 @@ def test_ralph_iterate_many_mixed_endings():
         if out.status == "exhausted":
             assert out.steps == cfg.max_iter
     assert ralph_iterate_many(sys, []) == []
+
+
+BLOCK = engines._NOISY_BLOCK
+
+
+def _assert_lone_runs(sys, starts, outs, cfg):
+    """Each outcome is bit for bit ``_lone_noisy_orbit`` of its start."""
+    for tau0, out in zip(starts, outs):
+        status, steps, resid, state = _lone_noisy_orbit(sys, tau0, cfg)
+        assert (out.status, out.steps, out.residual) == (status, steps, resid)
+        assert out.state.tobytes() == state.tobytes()
+
+
+def _spread_starts():
+    """u2 at p = 0.25 and starts at its fixed point or mixed towards it
+    from random states, so that one call's starts stop at steps spread over
+    the first three blocks."""
+    sys = gallery()["u2"].system(rho_cr=cr_mixed(0.3), p=0.25)
+    fixed = ralph_closed_form(sys)
+    mix = (1e-9, 1e-7, 1e-5, 1e-3, 1e-3, 0.1, 1.0, 1.0)
+    return sys, [fixed] + [(1 - e) * fixed + e * random_density(4, 40 + i)
+                           for i, e in enumerate(mix)]
+
+
+@pytest.mark.parametrize("max_iter", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_ralph_iterate_many_block_edges(max_iter):
+    """A step cap at, or one off, a block boundary cuts the last block
+    short; every outcome is its lone run's."""
+    sys, starts = _spread_starts()
+    cfg = EngineConfig(max_iter=max_iter)
+    _assert_lone_runs(sys, starts, ralph_iterate_many(sys, starts, cfg), cfg)
+
+
+def test_ralph_iterate_many_stops_across_blocks():
+    """The fixed point stops at step 1, other starts stop within one block
+    or in different ones, and under a cap one below the largest step count
+    that one column runs out while the others stop."""
+    sys, starts = _spread_starts()
+    cfg = EngineConfig()
+    outs = ralph_iterate_many(sys, starts, cfg)
+    steps = [out.steps for out in outs]
+    blocks = [(n - 1) // BLOCK for n in steps]
+    assert outs[0].status == "converged" and steps[0] == 1
+    assert len(set(blocks)) >= 3 and len(set(blocks)) < len(blocks)
+    _assert_lone_runs(sys, starts, outs, cfg)
+    assert steps.count(max(steps)) == 1
+    cfg = EngineConfig(max_iter=max(steps) - 1)
+    outs = ralph_iterate_many(sys, starts, cfg)
+    assert [out.status for out in outs].count("exhausted") == 1
+    _assert_lone_runs(sys, starts, outs, cfg)
+
+
+def test_ralph_iterate_many_short_blocks_at_large_k():
+    """With enough starts the buffer bound makes the block shorter than
+    ``_NOISY_BLOCK``; it grows back as columns stop. Outcomes are unchanged."""
+    sys, spread = _spread_starts()
+    k = 160
+    assert engines._NOISY_BUFFER // (k * 16) < BLOCK
+    starts = (spread + [random_density(4, 500 + i) for i in range(k)])[:k]
+    cfg = EngineConfig()
+    _assert_lone_runs(sys, starts, ralph_iterate_many(sys, starts, cfg), cfg)
+
+
+def test_ralph_iterate_many_keeps_subnormal_bits():
+    """u2's noisy orbits reach subnormal entries, where folding the 0.5 into
+    the loop map or flushing to zero would change the bits; the stacked
+    steps keep the lone run's."""
+    sys = gallery()["u2"].system(rho_cr=cr_mixed(0.3), p=0.01)
+    starts = [random_density(4, 100 + i) for i in range(8)]
+    cfg = EngineConfig(max_iter=2000)
+    outs = ralph_iterate_many(sys, starts, cfg)
+    parts = np.stack([out.state for out in outs]).view(float)
+    assert ((parts != 0) & (np.abs(parts) < np.finfo(float).tiny)).any()
+    _assert_lone_runs(sys, starts, outs, cfg)
+
+
+def _census_systems(haar):
+    g = gallery()
+    for name, crs in (("u1", [cr_mixed(0.3), cr_mixed(1.0), cr_pure(0.5), cr_pure(0.0)]),
+                      ("u2", [cr_mixed(0.3), cr_mixed(1.0), cr_pure(0.5), cr_pure(0.0)]),
+                      ("u3", [cr_eps(0.1, 0.0, 0.2, 0.0), cr_eps(0.3, 0.1, 0.0, 0.0),
+                              cr_eps(0.0, 0.0, 0.0, 0.0), cr_eps(0.5, 0.2, 0.4, 0.1j)])):
+        for cr in crs:
+            for p in (0.003, 0.01, 0.05, 0.3):
+                yield g[name].system(rho_cr=cr, p=p)
+    rng = np.random.default_rng(5)
+    for d_cr, d_cv in [(2, 2), (3, 2), (2, 3), (4, 3), (2, 4)]:
+        for h, p in enumerate((0.01, 0.05, 0.3)):
+            yield CtcSystem(haar(d_cr * d_cv, rng), random_density(d_cr, 100 + h),
+                            DimSplit(d_cr, d_cv), p=p)
+
+
+@pytest.mark.slow
+def test_ralph_iterate_many_census(haar):
+    """3,780 outcomes, 10 starts of 63 systems under 6 step caps, each bit
+    for bit its lone run's."""
+    for sys in _census_systems(haar):
+        starts = [random_density(sys.d_cv, 7000 + i) for i in range(10)]
+        for max_iter in (5, 33, 64, 700, 2000, 10000):
+            cfg = EngineConfig(max_iter=max_iter)
+            _assert_lone_runs(sys, starts, ralph_iterate_many(sys, starts, cfg), cfg)
 
 
 @pytest.mark.parametrize("name", ["u1", "u2"])

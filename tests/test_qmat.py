@@ -125,6 +125,39 @@ def test_entropy_unitary_invariance():
         assert abs(s1 - s0) < 1e-9
 
 
+def _two_pass_entropy(rho):
+    """Reference: the entropy from a second ``eigvalsh`` after
+    ``check_density``, in bits, clamped and with a sum <= 0 read as +0.0."""
+    a = check_density(rho)
+    w = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
+    w = w[w > 1e-12]
+    s = float(-(w * np.log(w)).sum() / np.log(2.0))
+    return 0.0 if s <= 0.0 else s
+
+
+def _pure(dim, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v /= np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
+def test_entropy_bits_match_the_two_pass_formula():
+    """The entropy reuses the spectrum ``check_density`` takes; its bits are
+    those of a second ``eigvalsh`` on the same array."""
+    pure = [_pure(dim, seed) for dim in (2, 3, 4) for seed in range(40)]
+    # some pure states have an eigenvalue that rounds to 1 + 2.2e-16
+    assert any(np.linalg.eigvalsh(0.5 * (r + r.conj().T)).max() > 1.0 for r in pure)
+    clamped = [np.diag(w).astype(complex) for w in
+               ([1.0 + 5e-11, 0.0, -5e-11, 0.0], [1.0 - 1e-13, 1e-13],
+                [0.5, 0.5 - 2e-12, 2e-12], [1.0 + 2.0 ** -52, 0.0])]
+    noisy = [random_density(dim, seed) for dim in (2, 3, 4, 6) for seed in range(25)]
+    for rho in pure + clamped + noisy:
+        s = von_neumann_entropy(rho)
+        want = _two_pass_entropy(rho)
+        assert s == want and math.copysign(1.0, s) == math.copysign(1.0, want)
+
+
 def test_trace_distance_values():
     assert trace_distance(STABLE, STABLE) == 0.0
     assert abs(trace_distance(KET0, KET1) - 1.0) < 1e-12
