@@ -24,14 +24,15 @@ from .qmat import (
     check_density,
     check_unitary,
     maximally_mixed,
-    partial_trace,
     _as_square,
 )
 
 KRAUS_EIG_CUTOFF = 1e-10
 
-# ``superoperator``'s einsum order (rho_cr into u, then the conjugate): what
-# ``optimize=True`` plans for the gallery and all CR, CV dimensions 1 to 8.
+# ``loop_maps``' einsum order (the CR inputs into u, then the conjugate): what
+# ``optimize=True`` plans for one CR input of the gallery and all CR, CV
+# dimensions 1 to 8. For a stack the planner may pick another order, which
+# changes bits; this one gives every map of a stack its lone call's bits.
 _SUPEROP_PATH = ["einsum_path", (0, 1), (0, 1)]
 
 
@@ -58,9 +59,9 @@ class CtcSystem:
         if u.shape[0] != self.split.total:
             raise ValueError(
                 f"unitary dimension {u.shape[0]} does not match split {self.split}")
-        if rho.shape[0] != self.split.d_cr:
+        if rho.shape != (self.split.d_cr, self.split.d_cr):
             raise ValueError(
-                f"CR state dimension {rho.shape[0]} does not match d_cr={self.split.d_cr}")
+                f"CR state shape {rho.shape} does not match d_cr={self.split.d_cr}")
         if not 0.0 <= self.p < 1.0:
             raise ValueError(f"noise strength p={self.p} outside [0, 1)")
         object.__setattr__(self, "u", u)
@@ -74,24 +75,38 @@ class CtcSystem:
 def _cv_state(sys: CtcSystem, tau) -> np.ndarray:
     """Validate ``tau`` as a density matrix on the system's CV side."""
     t = check_density(tau)
-    if t.shape[0] != sys.d_cv:
-        raise ValueError(f"CV state dimension {t.shape[0]} does not match d_cv={sys.d_cv}")
+    if t.shape != (sys.d_cv, sys.d_cv):
+        raise ValueError(f"CV state shape {t.shape} does not match d_cv={sys.d_cv}")
     return t
 
 
 def cv_map(sys: CtcSystem, tau) -> np.ndarray:
-    """One noiseless pass: the CV marginal of ``u (rho_cr (x) tau) u^dag``."""
-    after = sys.u @ np.kron(sys.rho_cr, _cv_state(sys, tau)) @ sys.u.conj().T
-    out = partial_trace(after, sys.split)
-    return 0.5 * (out + out.conj().T)
+    """One noiseless pass: the CV marginal of ``u (rho_cr (x) tau) u^dag``;
+    the one-state call of ``cv_maps``."""
+    return cv_maps(sys, sys.rho_cr[None], _cv_state(sys, tau)[None])[0]
+
+
+def cv_maps(sys: CtcSystem, rho_crs, taus) -> np.ndarray:
+    """``cv_map`` of each CV state in the stack ``taus`` (n, d_cv, d_cv)
+    through ``sys`` with the CR input of the same index in ``rho_crs``
+    (n, d_cr, d_cr), whatever ``sys.rho_cr`` is; each pass has the bits of
+    its lone call. Both stacks are taken as checked density matrices."""
+    d_cr, d, n = sys.split.d_cr, sys.d_cv, len(taus)
+    # kron(rho_crs[k], taus[k]) for every k, as np.kron forms it
+    joint = (rho_crs[:, :, None, :, None] * taus[:, None, :, None, :]).reshape(
+        n, sys.split.total, sys.split.total)
+    after = (sys.u @ joint @ sys.u.conj().T).reshape(n, d_cr, d, d_cr, d)
+    out = np.einsum("nabad->nbd", after)  # trace over CR
+    return 0.5 * (out + out.conj().swapaxes(-1, -2))
 
 
 def depolarize(tau, p: float) -> np.ndarray:
-    """Depolarizing channel ``(1-p) tau + p I/d``."""
+    """Depolarizing channel ``(1-p) tau + p I/d``, on one state or on each
+    of a stack of shape ``(..., d, d)``."""
     t = check_density(tau)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarization strength p={p} outside [0, 1]")
-    return (1.0 - p) * t + p * maximally_mixed(t.shape[0])
+    return (1.0 - p) * t + p * maximally_mixed(t.shape[-1])
 
 
 def noisy_cv_map(sys: CtcSystem, tau) -> np.ndarray:
@@ -122,21 +137,33 @@ def _superop_dim(m) -> int:
 
 
 def superoperator(sys: CtcSystem, include_noise: bool = False) -> np.ndarray:
-    """Matrix of one loop pass on vectorized operators, shape (d^2, d^2).
+    """Matrix of one loop pass on vectorized operators, shape (d^2, d^2):
+    the one-input call of ``loop_maps``.
 
-    With ``u`` indexed as ``u[a, b, c, e]`` (output CR, output CV, input CR,
-    input CV), entry ``[b + d*b', e + d*e']`` is
-    ``sum_{a,c,f} u[a,b,c,e] rho_cr[c,f] conj(u[a,b',f,e'])``, one einsum.
     With ``include_noise`` the depolarizing step at ``sys.p`` is composed
     in as the rank-one update ``(1-p) M + p vec(I/d) vec(I)^T``.
     """
     d = sys.d_cv
-    u = sys.u.reshape(sys.split.d_cr, d, sys.split.d_cr, d)
-    m = np.einsum("abce,cf,agfh->gbhe", u, sys.rho_cr, u.conj(),
-                  optimize=_SUPEROP_PATH).reshape(d * d, d * d)
+    m = loop_maps(sys, sys.rho_cr[None])[0]
     if include_noise and sys.p > 0.0:
         m = (1.0 - sys.p) * m + sys.p * np.outer(vec(maximally_mixed(d)), vec(np.eye(d)))
     return m
+
+
+def loop_maps(sys: CtcSystem, rho_crs) -> np.ndarray:
+    """Noiseless loop-pass matrices of ``sys`` with each CR input of the
+    stack ``rho_crs`` (n, d_cr, d_cr) in place of ``sys.rho_cr``, shape
+    (n, d^2, d^2); the CR inputs are taken as checked density matrices.
+
+    With ``u`` indexed as ``u[a, b, c, e]`` (output CR, output CV, input CR,
+    input CV), entry ``[k, b + d*b', e + d*e']`` is
+    ``sum_{a,c,f} u[a,b,c,e] rho_crs[k,c,f] conj(u[a,b',f,e'])``, one
+    einsum for the whole stack.
+    """
+    d_cr, d = sys.split.d_cr, sys.d_cv
+    u = sys.u.reshape(d_cr, d, d_cr, d)
+    return np.einsum("abce,ncf,agfh->ngbhe", u, rho_crs, u.conj(),
+                     optimize=_SUPEROP_PATH).reshape(-1, d * d, d * d)
 
 
 def apply_superoperator(m, mat) -> np.ndarray:

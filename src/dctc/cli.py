@@ -106,7 +106,6 @@ def build_parser():
     sp.add_argument("--grid-step", type=float, default=0.1,
                     help="population grid step over [0, 1]")
     sp.add_argument("--seed", type=int, default=42, help="master seed")
-    sp.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     sp.set_defaults(func=_cmd_surface)
 
     sp = add("maxent", "maximum-entropy consistent state of a circuit")
@@ -288,7 +287,7 @@ def _cmd_surface(args) -> int:
     if args.rule == "revised":
         cfg = Fig3Config(family=args.family, eps_values=eps_values, p=args.p,
                          master_seed=args.seed)
-        rec = run_fig3(cfg, jobs=max(1, args.jobs))
+        rec = run_fig3(cfg)
         budget = rec.info.get("continuity_budget")
         verdict = ""
         if budget is not None:

@@ -18,7 +18,9 @@ in the closed-timelike-curve literature:
   ``ralph_iterate`` restricted to ``p > 0``.
 * ``ralph_iterate`` / ``ralph_closed_form``: direct iteration of the noisy
   map, and the same fixed point from one linear solve of
-  ``(Id - (1-p) M) vec(tau) = p vec(I/d)``.
+  ``(Id - (1-p) M) vec(tau) = p vec(I/d)``; ``closed_forms`` solves a
+  stack of CR inputs at once, and ``ralph_closed_form`` is its one-system
+  call.
 
 ``ralph_iterate_many`` is the one orbit entry point (``ralph_iterate`` is
 its one-start call). It builds the loop map once per call and drives
@@ -41,12 +43,13 @@ every start with it:
   nontrivial cycle). Up to ``_NOISY_BLOCK`` steps run per Python round
   trip, into a buffer of the block's iterates kept near ``_NOISY_BUFFER``
   entries by shortening the block at large k. One stop test per block (a
-  Frobenius prefilter, then one batched trace distance on the candidates)
-  finds each start's first step within ``tol``; a start that stops inside
-  the block keeps that step's iterate and count, the others go on from the
-  block's last row, and the last block is cut short at ``max_iter``. Each
-  start stops, and its row is computed, exactly as a lone run of the same
-  start would.
+  Frobenius prefilter, then one batched trace distance on the candidates
+  before each start's first step that is within ``tol`` by its Frobenius
+  norm alone) finds each start's first step within ``tol``; a start that
+  stops inside the block keeps that step's iterate and count, the others
+  go on from the block's last row, and the last block is cut short at
+  ``max_iter``. Each start stops, and its row is computed, exactly as a
+  lone run of the same start would.
 """
 
 from __future__ import annotations
@@ -60,11 +63,11 @@ from .channels import (
     _cv_state,
     apply_superoperator,
     cv_map,
+    loop_maps,
     superoperator,
-    unvec,
     vec,
 )
-from .qmat import (PSD_TOL, check_density, hermitian_span, maximally_mixed,
+from .qmat import (PSD_TOL, _checked_spectrum, hermitian_span, maximally_mixed,
                    trace_distance)
 
 FIXED_SUBSPACE_SVD_TOL = 1e-8
@@ -261,6 +264,8 @@ def ralph_iterate_many(sys: CtcSystem, tau0s,
     # for |tr(diff)| up to tol / sqrt(2) and prunes most columns whose
     # trace distance is still above tol before their eigvalsh.
     fro_bound = 2.25 * tol * tol
+    sure_bound = 3.6 * tol * tol / d  # 4 tol^2 / d with a 10 % margin
+    block_rows = np.arange(_NOISY_BLOCK)[:, None]
     a = n = 0  # live columns the views are built for; steps taken
     while live.size and n < cfg.max_iter:
         if a != live.size:  # (re)build the views when the stack narrows
@@ -286,18 +291,24 @@ def ralph_iterate_many(sys: CtcSystem, tau0s,
             np.conjugate(t, out=t)
             np.add(y, t, out=y)
             np.multiply(y, 0.5, out=y)
-        # One stop test for the block: row j * a + c of the flattened
-        # differences is column c's motion at step n + j + 1; each column
-        # stops at its first row within tol in trace distance.
+        # One stop test for the block: row j of column c is its motion at
+        # step n + j + 1.
         np.subtract(xs[1:b + 1], xs[:b], out=diff[:b])
         np.matmul(f[:b * a], ft[:b * a], out=fro2[:b * a])
         x = xs[b]
-        if fro2[:b * a].min() < fro_bound:
-            near = np.flatnonzero(fro2[:b * a] < fro_bound)
-            near = near[_trace_distances(diff.reshape(-1, dd)[near], d) < tol]
-            cols, first = np.unique(near % a, return_index=True)
+        f2 = fro2[:b * a].reshape(b, a)
+        if f2.min() < fro_bound:
+            # Column c stops at its first row j within tol in trace distance.
+            # A row with ||diff||_F^2 < 4 tol^2 / d is within tol without an
+            # eigvalsh (||diff||_1 <= sqrt(d) ||diff||_F), so only the
+            # candidates before a column's first such row are tested; the
+            # rows after it lie past the column's stop.
+            ok = f2 < sure_bound
+            cand = (f2 < fro_bound) & (block_rows[:b] < np.where(ok.any(0), ok.argmax(0), b))
+            ok[cand] = _trace_distances(diff[:b].reshape(b, a, dd)[cand], d) < tol
+            cols = np.flatnonzero(ok.any(0))
             if cols.size:
-                for c, j in zip(cols, near[first] // a):
+                for c, j in zip(cols, ok.argmax(0)[cols]):
                     i = live[c]
                     last[i], steps[i] = xs[j + 1, c, :, 0].copy(), n + int(j) + 1
                     status[i] = "converged"
@@ -385,11 +396,25 @@ def allen_cesaro(sys: CtcSystem, tau0, cfg: EngineConfig | None = None) -> Itera
 
 def ralph_closed_form(sys: CtcSystem) -> np.ndarray:
     """Unique noisy fixed point from the linear solve
-    ``(Id - (1-p) M) vec(tau) = p vec(I/d)``; requires ``sys.p > 0``."""
+    ``(Id - (1-p) M) vec(tau) = p vec(I/d)``; requires ``sys.p > 0``. The
+    one-system call of ``closed_forms``."""
+    return closed_forms(sys, sys.rho_cr[None])[0][0]
+
+
+def closed_forms(sys: CtcSystem, rho_crs):
+    """``ralph_closed_form`` of ``sys`` with each CR input of the stack
+    ``rho_crs`` (n, d_cr, d_cr, taken as checked) in place of
+    ``sys.rho_cr``: one loop-map einsum, one batched solve and one batched
+    density check for the whole stack.
+
+    Returns the fixed states, shape (n, d, d), each with the bits of its
+    lone call, and the spectra their density check took. A state that
+    fails the check raises ``DensityError`` with its index in the stack.
+    """
     if sys.p <= 0.0:
         raise ValueError("ralph_closed_form requires a system with p > 0")
     d = sys.d_cv
-    m = superoperator(sys, include_noise=False)
+    m = loop_maps(sys, rho_crs)
     a = np.eye(d * d, dtype=complex) - (1.0 - sys.p) * m
     b = sys.p * vec(maximally_mixed(d))
     try:
@@ -397,14 +422,15 @@ def ralph_closed_form(sys: CtcSystem) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
             f"singular fixed-point system at p={sys.p}: {exc}") from exc
-    tau = _sym(unvec(x))
+    tau = x.reshape(-1, d, d).swapaxes(-1, -2)  # unvec of each solution
+    tau = 0.5 * (tau + tau.conj().swapaxes(-1, -2))
     # The exact solution has unit trace (the map preserves trace), but the
     # system's conditioning grows like 1/p, so rounding error of order
     # eps/p survives the solve. Renormalize and widen the PSD guard
     # accordingly; at moderate p the guard stays at its strict default.
-    tau = tau / np.real(np.trace(tau))
+    tau = tau / np.real(np.trace(tau, axis1=-2, axis2=-1))[:, None, None]
     guard = max(PSD_TOL, 100.0 * np.finfo(float).eps / sys.p)
-    return check_density(tau, psd_tol=guard)
+    return _checked_spectrum(tau, psd_tol=guard)
 
 
 def consistency_residual(sys: CtcSystem, tau) -> float:

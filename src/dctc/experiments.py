@@ -28,16 +28,17 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .channels import (channel_distance, choi_matrix,
+from .channels import (channel_distance, choi_matrix, cv_maps, depolarize,
                        kraus_commutator_residual, kraus_completeness_defect,
-                       kraus_from_choi, noisy_cv_map, superoperator_from_kraus)
-from .engines import (ConvergenceError, EngineConfig, deutsch_cesaro,
+                       kraus_from_choi, superoperator_from_kraus)
+from .engines import (ConvergenceError, EngineConfig, closed_forms, deutsch_cesaro,
                       limit_superoperator, ralph_closed_form, ralph_iterate,
                       ralph_iterate_many)
 from .gallery import (cr_eps, cr_mixed, cr_pure, cr_swap_symmetric, gallery,
                       limit_kraus_ops)
 from .maxent import max_entropy_fixed_state
-from .qmat import maximally_mixed, random_density, trace_distance, von_neumann_entropy
+from .qmat import (DensityError, _entropy_bits, check_density, maximally_mixed,
+                   random_density, trace_distance, von_neumann_entropy)
 
 # Maximum adjacent-cell entropy jump allowed on the default 11x11 noisy
 # surface at p = 0.1, per CR-input family. Measured in a pre-build run of
@@ -232,32 +233,42 @@ def run_fig2(cfg: Fig2Config, *, jobs: int = 1, inject=None) -> RunRecord:
                      time.monotonic() - t_start)
 
 
-def run_fig3(cfg: Fig3Config, *, jobs: int = 1) -> RunRecord:
+def run_fig3(cfg: Fig3Config) -> RunRecord:
     """Run the continuity surface on u3.
 
-    One task per (eps_alpha, eps_beta) cell, row-major; each solves the
-    noisy fixed point in closed form and records its entropy. The returned
-    record carries the entropy grid, the adjacent-cell continuity metric
-    with its pinned budget (when one is recorded for this family and p),
-    and a CR-swap symmetry check: if the circuit is invariant under
-    swapping the two CR qubits the grid must be transpose-symmetric.
+    One row per (eps_alpha, eps_beta) cell, row-major: the entropy of the
+    cell's noisy fixed point, solved in closed form, and the trace distance
+    the noisy map moves it. The grid runs as stacks: u3 is checked once and
+    every cell's CR input once, then one ``closed_forms`` call (one einsum,
+    one solve, and one density check whose spectra give the entropies) and
+    one stacked residual pass. Each row has the bits that a lone
+    ``ralph_closed_form`` and ``noisy_cv_map`` of its cell give. A cell
+    whose state fails a density check raises ``ConvergenceError`` naming
+    the cell, chained to the check's error.
+
+    The returned record carries the entropy grid, the adjacent-cell
+    continuity metric with its pinned budget (when one is recorded for this
+    family and p), and a CR-swap symmetry check: if the circuit is
+    invariant under swapping the two CR qubits the grid must be
+    transpose-symmetric.
     """
     t_start = time.monotonic()
     sysdef = gallery()["u3"]
+    sys = sysdef.system(p=cfg.p)
     n = len(cfg.eps_values)
-    tasks = list(range(n * n))
-
-    def worker(task):
-        i, j = divmod(task, n)
-        ea, eb = cfg.eps_values[i], cfg.eps_values[j]
-        sys = sysdef.system(rho_cr=_cr_pair(cfg.family, ea, eb), p=cfg.p)
-        tau = ralph_closed_form(sys)
-        resid = trace_distance(noisy_cv_map(sys, tau), tau)
-        return RunRow("fig3", cfg.family, None, ea, eb, cfg.p, task,
-                      derive_seed(cfg.master_seed, task), "closed-form",
-                      von_neumann_entropy(tau), resid, 0)
-
-    rows = sorted(_run_tasks(worker, tasks, jobs), key=lambda r: r.task)
+    cells = [(ea, eb) for ea in cfg.eps_values for eb in cfg.eps_values]
+    crs = check_density(np.stack([_cr_pair(cfg.family, ea, eb) for ea, eb in cells]))
+    try:
+        taus, spectra = closed_forms(sys, crs)
+        resid = trace_distance(depolarize(cv_maps(sys, crs, taus), cfg.p), taus)
+    except DensityError as exc:
+        ea, eb = cells[exc.index[0]]
+        raise ConvergenceError(
+            f"closed-form solve failed at (eps_a, eps_b) = ({ea}, {eb}): {exc}") from exc
+    rows = tuple(RunRow("fig3", cfg.family, None, ea, eb, cfg.p, task,
+                        derive_seed(cfg.master_seed, task), "closed-form",
+                        _entropy_bits(w), float(r), 0)
+                 for task, ((ea, eb), w, r) in enumerate(zip(cells, spectra, resid)))
     grid = np.array([r.entropy_bits for r in rows]).reshape(n, n)
 
     symmetric = cr_swap_symmetric(sysdef.unitary, sysdef.split)
@@ -266,12 +277,12 @@ def run_fig3(cfg: Fig3Config, *, jobs: int = 1) -> RunRecord:
     if symmetric and info["transpose_asymmetry"] > 1e-9:
         raise AssertionError("CR-swap symmetric circuit produced an asymmetric grid")
     if n >= 2:
-        jump, cells = continuity_metric(grid)
+        jump, jump_cells = continuity_metric(grid)
         info["max_jump"] = jump
-        info["jump_cells"] = [list(cells[0]), list(cells[1])]
+        info["jump_cells"] = [list(jump_cells[0]), list(jump_cells[1])]
         if cfg.p == CONTINUITY_BUDGET_P and cfg.eps_values == _DEFAULT_GRID:
             info["continuity_budget"] = CONTINUITY_BUDGET[cfg.family]
-    return RunRecord("fig3", asdict(cfg), tuple(rows),
+    return RunRecord("fig3", asdict(cfg), rows,
                      time.monotonic() - t_start, grid=grid, info=info)
 
 

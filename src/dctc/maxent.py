@@ -106,7 +106,10 @@ def max_entropy_fixed_state(sys: CtcSystem) -> MaxEntResult:
 
     Projected gradient ascent with backtracking line search over the
     consistent densities, compressed to the support of the anchor
-    ``P(I)/d`` (its eigenvalues above ``ENTROPY_CLAMP``). A step is
+    ``P(I)/d`` (its eigenvalues above ``ENTROPY_CLAMP``). Each search
+    starts at the Barzilai-Borwein step (J. Barzilai, J. M. Borwein, IMA J.
+    Numer. Anal. 8 (1988) 141-148), which keeps ill-conditioned supports
+    from stalling at steps far below their scale. A step is
     accepted only when it keeps the compressed state positive definite and
     meets the Armijo condition. Stops when the projected gradient norm
     falls below ``GRAD_TOL`` (``converged``), or unconverged after
@@ -131,6 +134,7 @@ def max_entropy_fixed_state(sys: CtcSystem) -> MaxEntResult:
     kkt = 0.0
     iterations = 0
     converged = False
+    step = None  # the last step taken and the projected gradient it started from
     for iterations in range(1, MAX_ASCENT_ITER + 1):
         gp = _project(entropy_gradient(tau), dirs)
         kkt = float(np.linalg.norm(gp))
@@ -138,7 +142,15 @@ def max_entropy_fixed_state(sys: CtcSystem) -> MaxEntResult:
             iterations -= 1
             converged = True
             break
+        # The line search starts at the Barzilai-Borwein step <s, s> / <s, y>,
+        # s the last step and y the fall of the projected gradient since,
+        # or at 1 when there is no last step or <s, y> <= 0.
         alpha = 1.0
+        if step is not None:
+            s, g0 = step
+            sy = np.vdot(s, g0 - gp).real
+            if sy > 0.0:
+                alpha = np.vdot(s, s).real / sy
         while alpha > 1e-18:
             wc = np.linalg.eigvalsh(tau + alpha * gp)
             if wc.min() > ENTROPY_CLAMP:
@@ -148,6 +160,7 @@ def max_entropy_fixed_state(sys: CtcSystem) -> MaxEntResult:
             alpha *= 0.5
         else:
             break
+        step = (alpha * gp, gp)
         tau, entropy = tau + alpha * gp, sc
 
     state = v @ tau @ v.conj().T

@@ -28,39 +28,79 @@ SPAN_TOL = 1e-10
 _LOG2 = np.log(2.0)
 
 
-def _as_square(m, name: str = "matrix") -> np.ndarray:
+class DensityError(ValueError):
+    """A failed density check. ``index`` locates the failing matrix in a
+    stack, the first one in C order; it is ``()`` for a lone matrix."""
+
+    def __init__(self, message: str, index: tuple = ()):
+        super().__init__(message)
+        self.index = index
+
+
+def _as_stack(m, name: str = "matrix") -> np.ndarray:
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"{name} must be a square matrix or a stack of them, "
+                         f"got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
 
-def check_density(rho, psd_tol: float = PSD_TOL) -> np.ndarray:
-    """Validate a density matrix and return it as a complex array.
+def _as_square(m, name: str = "matrix") -> np.ndarray:
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
+    return _as_stack(a, name)
 
-    Raises ``ValueError`` unless ``rho`` is square, Hermitian within
-    ``HERMITIAN_TOL`` (max-abs deviation), has unit trace within
-    ``TRACE_TOL``, and has eigenvalues no smaller than ``-psd_tol``.
+
+def check_density(rho, psd_tol: float = PSD_TOL) -> np.ndarray:
+    """Validate a density matrix, or a stack of them of shape ``(..., d, d)``,
+    and return it as a complex array.
+
+    Raises ``DensityError`` (a ``ValueError``) unless every matrix is
+    square, finite, Hermitian within ``HERMITIAN_TOL`` (max-abs deviation),
+    has unit trace within ``TRACE_TOL``, and has eigenvalues no smaller
+    than ``-psd_tol``; for a stack the error names the first failing
+    matrix.
     """
     return _checked_spectrum(rho, psd_tol)[0]
 
 
 def _checked_spectrum(rho, psd_tol: float = PSD_TOL):
     """``check_density`` on ``rho``, returning the checked array and the
-    spectrum its PSD check took, ``eigvalsh(0.5 * (a + a^H))``."""
-    a = _as_square(rho, "density matrix")
-    herm_defect = np.abs(a - a.conj().T).max()
-    if herm_defect > HERMITIAN_TOL:
-        raise ValueError(f"density matrix not Hermitian (defect {herm_defect:.3e})")
-    tr = a.trace()
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"density matrix trace {tr} is not 1")
-    w = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
-    if w.min() < -psd_tol:
-        raise ValueError(f"density matrix has negative eigenvalue {w.min():.3e}")
+    spectra its PSD check took, ``eigvalsh(0.5 * (a + a^H))`` of each
+    matrix. Every check runs on every matrix of a stack."""
+    a = np.asarray(rho, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DensityError(f"density matrix must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        i = _first(~np.isfinite(a).all(axis=(-2, -1)))
+        raise DensityError(f"{_density_name(i)} contains non-finite entries", i)
+    ah = a.conj().swapaxes(-1, -2)
+    herm = np.abs(a - ah)
+    tr = a.trace(axis1=-2, axis2=-1)
+    w = np.linalg.eigvalsh(0.5 * (a + ah))
+    off_trace = abs(tr - 1.0) > TRACE_TOL
+    if herm.max() > HERMITIAN_TOL or off_trace.any() or w.min() < -psd_tol:
+        herm, low = herm.max(axis=(-2, -1)), w.min(axis=-1)
+        i = _first((herm > HERMITIAN_TOL) | off_trace | (low < -psd_tol))
+        name = _density_name(i)
+        if herm[i] > HERMITIAN_TOL:
+            raise DensityError(f"{name} not Hermitian (defect {herm[i]:.3e})", i)
+        if off_trace[i]:
+            raise DensityError(f"{name} trace {tr[i]} is not 1", i)
+        raise DensityError(f"{name} has negative eigenvalue {low[i]:.3e}", i)
     return a, w
+
+
+def _first(bad) -> tuple:
+    """Index of the first true entry of ``bad``, ``()`` when it is 0-d."""
+    return tuple(int(k) for k in np.argwhere(bad)[0])
+
+
+def _density_name(index: tuple) -> str:
+    return f"density matrix {list(index)} of the stack" if index else "density matrix"
 
 
 def check_unitary(u) -> np.ndarray:
@@ -132,21 +172,30 @@ def von_neumann_entropy(rho) -> float:
     ``1 + 2.2e-16``) is reported as ``+0.0``. The input must pass
     ``check_density``, whose spectrum the entropy reuses.
     """
-    w = _checked_spectrum(rho)[1]
+    return _entropy_bits(_checked_spectrum(rho)[1])
+
+
+def _entropy_bits(w) -> float:
+    """``von_neumann_entropy`` of a state from its spectrum ``w``."""
     w = w[w > ENTROPY_CLAMP]
     s = float(-(w * np.log(w)).sum() / _LOG2)
     return 0.0 if s <= 0.0 else s
 
 
-def trace_distance(a, b) -> float:
-    """Trace distance ``0.5 * ||a - b||_1`` between two Hermitian operators."""
-    x = _as_square(a, "first operator")
-    y = _as_square(b, "second operator")
+def trace_distance(a, b):
+    """Trace distance ``0.5 * ||a - b||_1`` between two Hermitian operators.
+
+    Two stacks of shape ``(..., d, d)`` give the array of distances between
+    their matching operators, each with the bits of the lone call.
+    """
+    x = _as_stack(a, "first operator")
+    y = _as_stack(b, "second operator")
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
     diff = x - y
-    diff = 0.5 * (diff + diff.conj().T)
-    return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
+    diff = 0.5 * (diff + diff.conj().swapaxes(-1, -2))
+    dist = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(-1)
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def hermitian_span(mats) -> np.ndarray:

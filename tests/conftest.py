@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dctc import engines, experiments
+from dctc.channels import vec
 
 
 @pytest.fixture
@@ -49,5 +50,25 @@ def fail_solve(monkeypatch):
 
         monkeypatch.setattr(experiments, "max_entropy_fixed_state", solve)
         return cause
+
+    return arm
+
+
+@pytest.fixture
+def bad_loop_map(monkeypatch):
+    """``bad_loop_map(k)``: in every stacked closed-form solve on a CV qubit,
+    the k-th (0-based) loop map sends each state ``X`` to
+    ``tr(X) diag(1.5, -0.5)``, so that cell's noisy fixed point has a
+    negative eigenvalue; the other maps are as usual."""
+
+    def arm(k):
+        real = engines.loop_maps
+
+        def maps(sys, rho_crs):
+            m = real(sys, rho_crs)
+            m[k] = np.outer(vec(np.diag([1.5, -0.5])), vec(np.eye(2)))
+            return m
+
+        monkeypatch.setattr(engines, "loop_maps", maps)
 
     return arm

@@ -6,11 +6,14 @@ from dctc.channels import (
     apply_superoperator,
     channel_distance,
     choi_matrix,
+    _SUPEROP_PATH,
     cv_map,
+    cv_maps,
     depolarize,
     kraus_commutator_residual,
     kraus_completeness_defect,
     kraus_from_choi,
+    loop_maps,
     noisy_cv_map,
     superoperator,
     superoperator_from_kraus,
@@ -18,7 +21,8 @@ from dctc.channels import (
     vec,
 )
 from dctc.gallery import bistable_unitary, cycling_unitary, gallery, limit_kraus_ops
-from dctc.qmat import DimSplit, maximally_mixed, random_density, trace_distance
+from dctc.qmat import (DimSplit, maximally_mixed, partial_trace, random_density,
+                       trace_distance)
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 STABLE = np.diag([0.5, 0.0, 0.25, 0.25]).astype(complex)
@@ -35,6 +39,8 @@ def test_ctc_system_validation():
         CtcSystem(np.eye(8), KET0, DimSplit(2, 2))  # unitary dim mismatch
     with pytest.raises(ValueError):
         CtcSystem(np.eye(8), maximally_mixed(4), DimSplit(2, 4))  # CR dim
+    with pytest.raises(ValueError):
+        CtcSystem(np.eye(8), np.stack([KET0, KET0]), DimSplit(2, 4))  # a stack
     with pytest.raises(ValueError):
         CtcSystem(np.eye(8), KET0, DimSplit(2, 4), p=1.0)  # p out of range
     with pytest.raises(ValueError):
@@ -65,6 +71,8 @@ def test_cv_map_dimension_mismatch():
     sys = _identity_system()
     with pytest.raises(ValueError):
         cv_map(sys, maximally_mixed(2))
+    with pytest.raises(ValueError):
+        cv_map(sys, np.stack([maximally_mixed(4)] * 4))  # a stack
 
 
 def test_depolarize():
@@ -263,3 +271,38 @@ def test_superoperator_fixed_path_matches_planned(case, haar):
     planned = np.einsum("abce,cf,agfh->gbhe", u, sys.rho_cr, u.conj(),
                         optimize=True).reshape(d * d, d * d)
     assert np.array_equal(superoperator(sys), planned)
+
+
+def _pure_states(d, n, rng):
+    v = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return np.einsum("ni,nj->nij", v, v.conj())
+
+
+@pytest.mark.parametrize("case", ["u1", "u2", "u3", (2, 2), (3, 2), (2, 3),
+                                  (4, 3), (8, 2), (2, 8)])
+def test_stacks_keep_the_lone_bits(case, haar):
+    """Each loop map and each pass of a stack has the bits of the lone
+    formulas: the three-operand einsum along the fixed path, and
+    ``partial_trace`` of ``u (rho_cr (x) tau) u^dag``."""
+    rng = np.random.default_rng(sum(map(ord, str(case))))
+    if isinstance(case, str):
+        u, split = gallery()[case].unitary, gallery()[case].split
+    else:
+        split = DimSplit(*case)
+        u = haar(split.total, rng)
+    n, d = 40, split.d_cv
+    crs = np.concatenate([np.stack([random_density(split.d_cr, 300 + k) for k in range(n // 2)]),
+                          _pure_states(split.d_cr, n // 2, rng)])
+    taus = np.stack([random_density(d, 700 + k) for k in range(n)])
+    sys = CtcSystem(u, crs[0], split)
+    maps, passes = loop_maps(sys, crs), cv_maps(sys, crs, taus)
+    u4 = u.reshape(split.d_cr, d, split.d_cr, d)
+    for k in range(n):
+        lone = np.einsum("abce,cf,agfh->gbhe", u4, crs[k], u4.conj(),
+                         optimize=_SUPEROP_PATH).reshape(d * d, d * d)
+        assert maps[k].tobytes() == lone.tobytes(), k
+        assert superoperator(CtcSystem(u, crs[k], split)).tobytes() == lone.tobytes(), k
+        out = partial_trace(u @ np.kron(crs[k], taus[k]) @ u.conj().T, split)
+        assert passes[k].tobytes() == (0.5 * (out + out.conj().T)).tobytes(), k
+        assert cv_map(CtcSystem(u, crs[k], split), taus[k]).tobytes() == passes[k].tobytes(), k

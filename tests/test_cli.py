@@ -119,6 +119,23 @@ def test_surface_has_no_system_flag(capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_surface_has_no_jobs_flag(capsys):
+    """A surface grid runs as one stack, so there are no cells to thread."""
+    assert run(["surface", "--jobs", "2"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_surface_revised_failed_cell_exits_2(tmp_path, capsys, bad_loop_map):
+    """A closed-form cell that fails its density check is a numerical
+    failure that names the cell; no surface CSV is written."""
+    bad_loop_map(2)  # row-major: cell (1, 0) of the 2 x 2 grid
+    assert run(["surface", "--grid-step", "1.0", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "(eps_a, eps_b) = (1.0, 0.0)" in err
+    assert not os.path.exists(tmp_path / "surface.csv")
+
+
 @pytest.mark.parametrize("flag", ["--s-values=", "--p-values=", "--p-values=0,0"])
 def test_sweep_rejects_empty_or_repeated_values(tmp_path, capsys, flag):
     """Empty lists once wrote a header-only CSV, and a repeated p wrote

@@ -486,6 +486,29 @@ def test_ralph_iterate_many_keeps_subnormal_bits():
     _assert_lone_runs(sys, starts, outs, cfg)
 
 
+@pytest.mark.parametrize("name,rows", [("u1", 76), ("u2", 3598)])
+def test_noisy_stop_test_skips_rows_past_a_certain_stop(name, rows, monkeypatch):
+    """A row within ``2 tol / sqrt(d)`` in Frobenius norm is within ``tol``
+    in trace distance, so the stop test takes no eigvalsh on it or on the
+    rows after it. Over 11 CR inputs of 8 starts at p = 0.01 that leaves
+    76 rows on u1 and 3,598 on u2, where testing every candidate of a block
+    took 985 and 4,007."""
+    counts = []
+    real = engines._trace_distances
+
+    def counting(diffs, d):
+        counts.append(len(diffs))
+        return real(diffs, d)
+
+    monkeypatch.setattr(engines, "_trace_distances", counting)
+    starts = [random_density(4, 1000 + i) for i in range(8)]
+    for s in [round(0.1 * i, 10) for i in range(11)]:
+        sys = gallery()[name].system(rho_cr=cr_mixed(s), p=0.01)
+        ralph_iterate_many(sys, starts, EngineConfig(max_iter=2000))
+        counts.pop()  # the residuals of the final states
+    assert sum(counts) == rows
+
+
 def _census_systems(haar):
     g = gallery()
     for name, crs in (("u1", [cr_mixed(0.3), cr_mixed(1.0), cr_pure(0.5), cr_pure(0.0)]),

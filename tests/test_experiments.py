@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import dctc
-from dctc.channels import superoperator
+from dctc.channels import _SUPEROP_PATH, depolarize, superoperator, unvec, vec
 from dctc.engines import (FIXED_SUBSPACE_SVD_TOL, ConvergenceError, consistency_residual,
                           ralph_closed_form)
 from dctc.experiments import (
@@ -31,7 +31,8 @@ from dctc.experiments import (
 )
 from dctc.gallery import cr_eps, gallery
 from dctc.maxent import max_entropy_fixed_state
-from dctc.qmat import maximally_mixed, von_neumann_entropy
+from dctc.qmat import (PSD_TOL, DensityError, check_density, maximally_mixed,
+                       partial_trace, trace_distance, von_neumann_entropy)
 
 FLAT = np.diag([1 / 3, 0.0, 1 / 3, 1 / 3]).astype(complex)
 
@@ -178,6 +179,57 @@ def test_run_fig3_small():
     a, b = rec.info["jump_cells"]
     assert abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
     assert "continuity_budget" not in rec.info  # only pinned on the full grid
+
+
+def _reference_cell(cfg, task):
+    """The per-cell worker the stacked grid replaced, with the closed form
+    and the noisy pass written out on the cell's lone matrices as they were:
+    the reference ``run_fig3``'s rows must match bit for bit."""
+    i, j = divmod(task, len(cfg.eps_values))
+    ea, eb = cfg.eps_values[i], cfg.eps_values[j]
+    sys = gallery()["u3"].system(rho_cr=_cr_pair(cfg.family, ea, eb), p=cfg.p)
+    d, p = sys.d_cv, cfg.p
+    u = sys.u.reshape(sys.split.d_cr, d, sys.split.d_cr, d)
+    m = np.einsum("abce,cf,agfh->gbhe", u, sys.rho_cr, u.conj(),
+                  optimize=_SUPEROP_PATH).reshape(d * d, d * d)
+    tau = unvec(np.linalg.solve(np.eye(d * d, dtype=complex) - (1.0 - p) * m,
+                                p * vec(maximally_mixed(d))))
+    tau = 0.5 * (tau + tau.conj().T)
+    tau = check_density(tau / np.real(np.trace(tau)),
+                        psd_tol=max(PSD_TOL, 100.0 * np.finfo(float).eps / p))
+    out = partial_trace(sys.u @ np.kron(sys.rho_cr, tau) @ sys.u.conj().T, sys.split)
+    img = depolarize(0.5 * (out + out.conj().T), p)
+    return RunRow("fig3", cfg.family, None, ea, eb, p, task,
+                  derive_seed(cfg.master_seed, task), "closed-form",
+                  von_neumann_entropy(tau), trace_distance(img, tau), 0)
+
+
+def _row_bits(row):
+    return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(row))
+
+
+@pytest.mark.parametrize("p", [0.5, 0.1, 1e-3])
+@pytest.mark.parametrize("family", ["mixed", "pure"])
+def test_run_fig3_rows_match_the_per_cell_reference(family, p):
+    """Every row of the stacked grid is the per-cell worker's, bit for bit,
+    on the default grid and on one with populations at 1e-12 and 1 - 1e-9."""
+    for eps in (Fig3Config().eps_values, (0.0, 1e-12, 1e-9, 0.3, 0.5, 1 - 1e-9, 1.0)):
+        cfg = Fig3Config(family=family, eps_values=eps, p=p, master_seed=5)
+        rows = run_fig3(cfg).rows
+        assert len(rows) == len(eps) ** 2
+        assert [_row_bits(r) for r in rows] == [_row_bits(_reference_cell(cfg, t))
+                                                for t in range(len(rows))]
+
+
+def test_run_fig3_names_a_failed_cell(bad_loop_map):
+    """A cell whose fixed point fails its density check stops the grid with
+    the cell's populations, chained to the check's error."""
+    bad_loop_map(2)  # row-major: cell (1, 0)
+    with pytest.raises(ConvergenceError, match=r"\(eps_a, eps_b\) = \(0\.5, 0\.0\)") as info:
+        run_fig3(Fig3Config(eps_values=(0.0, 0.5)))
+    assert isinstance(info.value.__cause__, DensityError)
+    assert info.value.__cause__.index == (2,)
+    assert "negative eigenvalue" in str(info.value)
 
 
 def test_run_fig3_default_grid_carries_budget():

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,19 @@ def test_max_entropy_reports_a_stall(monkeypatch):
     res = max_entropy_fixed_state(sys)
     assert res.converged is False
     assert res.iterations == 1 and res.kkt_residual >= GRAD_TOL
+
+
+def test_max_entropy_ascent_does_not_stall():
+    """On this ill-conditioned support, line searches that start at 1 took
+    all ``MAX_ASCENT_ITER`` steps and stopped unconverged; starting at the
+    Barzilai-Borwein step, the ascent converges in a few."""
+    sys = CtcSystem(np.eye(8, dtype=complex)[[0, 3, 4, 5, 6, 1, 2, 7]],
+                    random_density(2, 75), DimSplit(2, 4))
+    t0 = time.perf_counter()
+    res = max_entropy_fixed_state(sys)
+    assert time.perf_counter() - t0 < 1.0
+    assert res.converged is True and res.iterations <= 10
+    assert abs(res.entropy_bits - 1.999881427651) < 1e-12
 
 
 def test_max_entropy_identity_unitary():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dctc.qmat import (
+    DensityError,
     DimSplit,
     check_density,
     check_unitary,
@@ -207,6 +208,32 @@ def test_check_density_rejections():
         check_density(np.diag([1.5, -0.5]))  # negative eigenvalue
     with pytest.raises(ValueError):
         check_density(np.full((2, 2), np.nan))
+
+
+def test_stacks_are_checked_and_measured_matrix_by_matrix():
+    """A stack passes only if every matrix does, and a failure names the
+    first failing matrix; trace distances of two stacks are the lone
+    calls' bits."""
+    stack = np.stack([random_density(3, seed) for seed in range(12)]).reshape(3, 4, 3, 3)
+    assert np.array_equal(check_density(stack), stack)
+    for index, bad in [((1, 2), np.diag([1.5, -0.5, 0.0])), ((0, 3), 2 * np.eye(3) / 3),
+                       ((2, 0), np.full((3, 3), np.nan))]:
+        broken = stack.copy()
+        broken[index] = bad
+        broken[2, 3] = np.diag([1.5, -0.5, 0.0])  # a later failure is not the one named
+        name = rf"density matrix \[{index[0]}, {index[1]}\]"
+        with pytest.raises(DensityError, match=name) as info:
+            check_density(broken)
+        assert info.value.index == index
+    with pytest.raises(DensityError) as info:
+        check_density(np.diag([1.5, -0.5]))
+    assert info.value.index == ()
+    other = stack[::-1, ::-1]
+    dist = trace_distance(stack, other)
+    assert dist.shape == (3, 4)
+    for i in range(3):
+        for j in range(4):
+            assert dist[i, j].hex() == trace_distance(stack[i, j], other[i, j]).hex()
 
 
 def test_check_unitary():
