@@ -38,18 +38,12 @@ every start with it:
   allocated per call; one numpy pass gives the Frobenius distance from the
   new iterate to every entry, and only lags within ``tol`` in that norm
   (a necessary condition) are checked further, smallest lag first.
-* at p > 0, the contraction: every start advances together as one stacked
-  matvec per step, with no cycle scan (a strict contraction has no
-  nontrivial cycle). Up to ``_NOISY_BLOCK`` steps run per Python round
-  trip, into a buffer of the block's iterates kept near ``_NOISY_BUFFER``
-  entries by shortening the block at large k. One stop test per block (a
-  Frobenius prefilter, then one batched trace distance on the candidates
-  before each start's first step that is within ``tol`` by its Frobenius
-  norm alone) finds each start's first step within ``tol``; a start that
-  stops inside the block keeps that step's iterate and count, the others
-  go on from the block's last row, and the last block is cut short at
-  ``max_iter``. Each start stops, and its row is computed, exactly as a
-  lone run of the same start would.
+* at p > 0, the contraction: every start advances together as its real
+  coordinates in ``qmat.hermitian_basis``, one stacked real matvec per
+  step and up to ``_NOISY_BLOCK`` steps per Python round trip, with one
+  stop test per block and no cycle scan (a strict contraction has no
+  nontrivial cycle). Each start stops, and its row is computed, exactly as
+  a lone run of the same start would.
 """
 
 from __future__ import annotations
@@ -67,15 +61,15 @@ from .channels import (
     superoperator,
     vec,
 )
-from .qmat import (PSD_TOL, _checked_spectrum, hermitian_span, maximally_mixed,
-                   trace_distance)
+from .qmat import (PSD_TOL, _checked_spectrum, hermitian_basis, hermitian_span,
+                   maximally_mixed, trace_distance)
 
 FIXED_SUBSPACE_SVD_TOL = 1e-8
 _CYCLE_GUARD = 10.0
 _CYCLE_DECAY_MIN = 0.99
 _CYCLE_WINDOW = 64  # orbit states the cycle scan keeps
 _NOISY_BLOCK = 32  # most p > 0 steps per Python round trip
-_NOISY_BUFFER = 2 ** 16  # complex entries a p > 0 block aims to fit in
+_NOISY_BUFFER = 2 ** 16  # real entries a p > 0 block aims to fit in
 
 
 class ConvergenceError(RuntimeError):
@@ -208,13 +202,10 @@ def _run_orbit(m: np.ndarray, perm: np.ndarray, x: np.ndarray,
 
 
 def _trace_distances(diffs: np.ndarray, d: int) -> np.ndarray:
-    """``trace_distance`` for each row of ``diffs`` (shape (c, d*d)), the
-    vec of the difference of two exactly Hermitian operators.
-
-    Such a difference is exactly Hermitian, so Hermitizing it again changes
-    no bit; one ``eigvalsh`` over the (c, d, d) stack then gives each row
-    the bits ``trace_distance`` gives the pair.
-    """
+    """Half the trace norm of each row of ``diffs`` (shape (c, d*d)), the
+    vec of an exactly Hermitian operator, which Hermitizing changes by no
+    bit: one ``eigvalsh`` over the (c, d, d) stack gives each row the bits
+    ``trace_distance`` gives it against zero."""
     w = np.linalg.eigvalsh(diffs.reshape(-1, d, d).transpose(0, 2, 1))
     return 0.5 * np.abs(w).sum(-1)
 
@@ -225,13 +216,15 @@ def ralph_iterate_many(sys: CtcSystem, tau0s,
     in ``tau0s``, building the loop map once for the whole call.
 
     At p = 0 each start runs the cycle scan in turn. At p > 0 all starts
-    advance together as one stacked matrix-vector product per step, in
-    blocks of steps with one stop test each, and with no cycle scan (a
-    strict contraction has no nontrivial cycle): a start stops at the first
-    step whose iterate is within ``tol`` of the previous one in trace
-    distance, or is "exhausted" after ``max_iter`` steps with its last
-    iterate. Either way each outcome is bit for bit the one for
-    that start alone, whichever other starts share the call.
+    advance together, one stacked real matrix-vector product per step on
+    their Hermitian-basis coordinates, in blocks of steps with one stop
+    test each and with no cycle scan (a strict contraction has no
+    nontrivial cycle): a start stops at the first step whose iterate is
+    within ``tol`` of the previous one in trace distance, or is "exhausted"
+    after ``max_iter`` steps with its last iterate. Either way each outcome
+    is bit for bit the one for that start alone, whichever other starts
+    share the call. A loop map that does not preserve Hermiticity raises
+    ``ValueError``.
     """
     cfg = cfg or EngineConfig()
     starts = [_sym(_cv_state(sys, t)) for t in tau0s]
@@ -243,60 +236,51 @@ def ralph_iterate_many(sys: CtcSystem, tau0s,
     perm = np.arange(d * d).reshape(d, d).T.ravel()
     if sys.p == 0.0:
         return [_run_orbit(m, perm, x, cfg) for x in starts]
+    # The orbit runs on the real coordinates c of vec(X) = B c in the
+    # orthonormal Hermitian basis B, where the map is the real Re(B^H m B):
+    # B c is exactly Hermitian for every real c, so no step Hermitizes.
+    basis = hermitian_basis(d)
+    mr = basis.conj().T @ m @ basis
+    if np.abs(mr.imag).max() > 1e-12:
+        raise ValueError("loop map does not preserve Hermiticity")
+    mr = np.ascontiguousarray(mr.real)
     k, dd = len(starts), d * d
-    # The block buffer holds (B + 1) iterates of every live column: B steps
-    # per Python round trip, with B shrunk at large k so the buffer stays
-    # near _NOISY_BUFFER entries, and grown back up to _NOISY_BLOCK as
-    # columns stop and the stack narrows into the same storage.
+    # The block buffer holds nb + 1 iterates of every live column: nb steps
+    # per Python round trip, shrunk at large k to keep the buffer near
+    # _NOISY_BUFFER entries and grown back up to _NOISY_BLOCK as columns stop.
     cap = (max(1, min(_NOISY_BLOCK, _NOISY_BUFFER // (k * dd))) + 1) * k * dd
-    store, dstore = np.empty(cap, dtype=complex), np.empty(cap, dtype=complex)
-    x = np.stack([t.reshape(-1, order="F") for t in starts])[:, :, None]
+    x = np.stack([(basis.conj().T @ t.reshape(-1, order="F")).real for t in starts])[:, :, None]
     live = np.arange(k)  # start index of each stacked column
-    last = [None] * k
-    steps = [cfg.max_iter] * k
-    status = ["exhausted"] * k
-    # The lone run also stops only when 0.5 * ||diff||_F < tol. A Hermitian
-    # difference of two unit-trace iterates has ||diff||_F^2 <=
-    # (||diff||_1^2 + tr(diff)^2) / 2, and its trace is a rounding error of
-    # one step, so every column whose trace distance is below tol has
-    # ||diff||_F^2 < 2 tol^2 and passes both this prefilter and the lone
-    # run's: the trace distance alone decides a stop. The bound leaves room
-    # for |tr(diff)| up to tol / sqrt(2) and prunes most columns whose
-    # trace distance is still above tol before their eigvalsh.
+    last = np.empty((k, dd))  # final coordinates of each start
+    steps = np.zeros(k, dtype=int)  # the step each start stopped at, 0 if none
+    # B is orthonormal, so ||diff||_F is the 2-norm of the coordinates'
+    # difference. A Hermitian difference of two unit-trace iterates has
+    # ||diff||_F^2 <= (||diff||_1^2 + tr(diff)^2) / 2, and its trace is a
+    # rounding error of one step, so every column whose trace distance is
+    # below tol has ||diff||_F^2 < 2 tol^2 and passes both this prefilter and
+    # the lone run's 0.5 ||diff||_F < tol: the trace distance alone decides a
+    # stop. The bound leaves room for |tr(diff)| up to tol / sqrt(2) and
+    # prunes most columns whose trace distance is still above tol.
     fro_bound = 2.25 * tol * tol
     sure_bound = 3.6 * tol * tol / d  # 4 tol^2 / d with a 10 % margin
-    block_rows = np.arange(_NOISY_BLOCK)[:, None]
-    a = n = 0  # live columns the views are built for; steps taken
+    a = n = 0  # live columns the buffer is built for; steps taken
     while live.size and n < cfg.max_iter:
-        if a != live.size:  # (re)build the views when the stack narrows
+        if a != live.size:  # (re)build the buffer when the stack narrows
             a = live.size
             nb = min(_NOISY_BLOCK, cap // (a * dd) - 1)
-            xs = store[:(nb + 1) * a * dd].reshape(nb + 1, a, dd, 1)
-            diff = dstore[:nb * a * dd].reshape(nb, a, dd, 1)
-            t, fro2 = np.empty((a, dd, 1), dtype=complex), np.empty((nb * a, 1, 1))
-            f = diff.view(float).reshape(nb * a, 1, -1)
-            ft = f.transpose(0, 2, 1)
+            xs = np.empty((nb + 1, a, dd, 1))
         b = min(nb, cfg.max_iter - n)
         xs[0] = x
         for j in range(b):
-            # xs[j + 1] = _sym(step(xs[j])), elementwise as the lone run
-            # computes it. On a (k, d*d, 1) stack numpy runs one
-            # matrix-vector product per start, which keeps the bits of the
-            # lone ``m @ vec``; the matrix product ``m @ X`` sums in another
-            # order and does not. Folding the 0.5 into ``m`` is exact only
-            # off subnormals, which noisy orbits do reach.
-            y = xs[j + 1]
-            np.matmul(m, xs[j], out=y)
-            np.take(y, perm, axis=1, out=t, mode="clip")
-            np.conjugate(t, out=t)
-            np.add(y, t, out=y)
-            np.multiply(y, 0.5, out=y)
+            # On a (k, d*d, 1) stack numpy runs one matrix-vector product
+            # per start, which keeps the bits of the lone ``mr @ c``; the
+            # matrix product ``mr @ C`` sums in another order and does not.
+            np.matmul(mr, xs[j], out=xs[j + 1])
         # One stop test for the block: row j of column c is its motion at
         # step n + j + 1.
-        np.subtract(xs[1:b + 1], xs[:b], out=diff[:b])
-        np.matmul(f[:b * a], ft[:b * a], out=fro2[:b * a])
+        diff = xs[1:b + 1, :, :, 0] - xs[:b, :, :, 0]
+        f2 = np.einsum("jci,jci->jc", diff, diff)
         x = xs[b]
-        f2 = fro2[:b * a].reshape(b, a)
         if f2.min() < fro_bound:
             # Column c stops at its first row j within tol in trace distance.
             # A row with ||diff||_F^2 < 4 tol^2 / d is within tol without an
@@ -304,28 +288,24 @@ def ralph_iterate_many(sys: CtcSystem, tau0s,
             # candidates before a column's first such row are tested; the
             # rows after it lie past the column's stop.
             ok = f2 < sure_bound
-            cand = (f2 < fro_bound) & (block_rows[:b] < np.where(ok.any(0), ok.argmax(0), b))
-            ok[cand] = _trace_distances(diff[:b].reshape(b, a, dd)[cand], d) < tol
+            first = np.where(ok.any(0), ok.argmax(0), b)  # each column's first sure row
+            cand = (f2 < fro_bound) & (np.arange(b)[:, None] < first)
+            ok[cand] = _trace_distances(diff[cand] @ basis.T, d) < tol
             cols = np.flatnonzero(ok.any(0))
-            if cols.size:
-                for c, j in zip(cols, ok.argmax(0)[cols]):
-                    i = live[c]
-                    last[i], steps[i] = xs[j + 1, c, :, 0].copy(), n + int(j) + 1
-                    status[i] = "converged"
-                keep = np.ones(a, dtype=bool)
-                keep[cols] = False
-                live, x = live[keep], x[keep]
+            j, i = ok.argmax(0)[cols], live[cols]
+            last[i], steps[i] = xs[j + 1, cols, :, 0], n + j + 1
+            live, x = np.delete(live, cols), np.delete(x, cols, axis=0)
         n += b
-    for c, i in enumerate(live):
-        last[i] = x[c, :, 0].copy()
+    last[live] = x[:, :, 0]
     # Residual: trace distance between the noisy map's image of each final
     # state and the state.
-    fin = np.stack(last)[:, :, None]
+    fin = (last @ basis.T)[:, :, None]
     img = np.matmul(m, fin)
     img = 0.5 * (img + img[:, perm].conj())
     resid = _trace_distances((img - fin)[:, :, 0], d)
-    return [IterationOutcome(status[i], np.ascontiguousarray(last[i].reshape(d, d).T),
-                             steps[i], float(resid[i]))
+    return [IterationOutcome("converged" if steps[i] else "exhausted",
+                             np.ascontiguousarray(fin[i, :, 0].reshape(d, d).T),
+                             int(steps[i]) or cfg.max_iter, float(resid[i]))
             for i in range(k)]
 
 

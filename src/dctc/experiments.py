@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -180,6 +179,7 @@ def _cr_pair(family: str, eps_a: float, eps_b: float) -> np.ndarray:
 def _run_tasks(worker, tasks, jobs: int):
     if jobs <= 1:
         return [worker(t) for t in tasks]
+    from concurrent.futures import ThreadPoolExecutor  # not on a cold start's path
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, tasks))
 
@@ -321,8 +321,8 @@ def deutsch_rule_grid(eps_values=_DEFAULT_GRID, family: str = "mixed") -> np.nda
     """Entropy grid of u3 under the maximum-entropy selection rule at p = 0.
 
     One maximum-entropy solve per (eps_alpha, eps_beta) cell. A cell whose
-    solve fails raises ``ConvergenceError`` naming the cell, chained to the
-    solver's error.
+    solve fails, or whose ascent stops unconverged, raises
+    ``ConvergenceError`` naming the cell, chained to the solver's error.
     """
     _check_unit_interval("eps", eps_values)
     sysdef = gallery()["u3"]
@@ -332,11 +332,15 @@ def deutsch_rule_grid(eps_values=_DEFAULT_GRID, family: str = "mixed") -> np.nda
         for j, eb in enumerate(eps_values):
             sys = sysdef.system(rho_cr=_cr_pair(family, ea, eb))
             try:
-                grid[i, j] = max_entropy_fixed_state(sys).entropy_bits
+                res = max_entropy_fixed_state(sys)
+                if not res.converged:
+                    raise ConvergenceError("ascent stopped unconverged, projected-gradient "
+                                           f"norm {res.kkt_residual:.3e}")
             except (ConvergenceError, ValueError) as exc:
                 raise ConvergenceError(
                     f"maximum-entropy solve failed at (eps_a, eps_b) = ({ea}, {eb}): {exc}"
                 ) from exc
+            grid[i, j] = res.entropy_bits
     return grid
 
 

@@ -217,6 +217,21 @@ def hermitian_span(mats) -> np.ndarray:
     return 0.5 * (basis + basis.conj().transpose(0, 2, 1))
 
 
+def hermitian_basis(d: int) -> np.ndarray:
+    """Orthonormal Hermitian basis of the ``d x d`` operators as the
+    unitary ``(d*d, d*d)`` matrix ``B`` of the column-stacked vecs of
+    ``E_jj``, then ``(E_jk + E_kj) / sqrt(2)`` and ``i (E_jk - E_kj) /
+    sqrt(2)`` for ``j < k``. A Hermitian ``X`` has the real coordinates
+    ``B^H vec(X)``, and ``B c`` of a real ``c`` is exactly Hermitian: the
+    real and imaginary parts of each entry are one product each, and the
+    entries at ``jk`` and ``kj`` are conjugates.
+    """
+    u = np.eye(d * d).reshape(d, d, d * d)  # u[k, j] = vec(E_jk)
+    (j, k), r = np.triu_indices(d, 1), np.sqrt(0.5)
+    cols = [u[range(d), range(d)], r * (u[k, j] + u[j, k]), 1j * r * (u[k, j] - u[j, k])]
+    return np.concatenate(cols).T
+
+
 def random_density(dim: int, seed: int) -> np.ndarray:
     """Hilbert-Schmidt random density matrix ``G G^dag / tr(G G^dag)``.
 

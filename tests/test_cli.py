@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import dctc
+from dctc import maxent
 from dctc.cli import run
 
 
@@ -111,6 +112,18 @@ def test_surface_deutsch_failed_cell_exits_2(tmp_path, capsys, fail_solve):
     assert "numerical failure" in err
     assert "(eps_a, eps_b) = (1.0, 0.0)" in err
     assert "injected solver failure" in err
+    assert not os.path.exists(tmp_path / "surface.csv")
+
+
+def test_surface_deutsch_unconverged_cell_exits_2(tmp_path, capsys, monkeypatch):
+    """A maximum-entropy ascent that stops unconverged is a numerical
+    failure naming its cell."""
+    monkeypatch.setattr(maxent, "GRAD_TOL", 0.0)
+    monkeypatch.setattr(maxent, "MAX_ASCENT_ITER", 1)
+    assert run(["surface", "--rule", "deutsch", "--grid-step", "1.0",
+                "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "(eps_a, eps_b) = (0.0, 0.0): ascent stopped unconverged" in err
     assert not os.path.exists(tmp_path / "surface.csv")
 
 
@@ -242,6 +255,21 @@ def test_out_dir_environment_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("DCTC_OUT_DIR", str(tmp_path))
     assert run(["maxent"]) == 0
     assert os.path.exists(tmp_path / "maxent.json")
+
+
+def test_cold_import_leaves_the_thread_pool_out():
+    """A cold ``dctc`` process does not import ``concurrent.futures``; only
+    a sweep with ``--jobs`` above 1 does."""
+    pkg_root = os.path.dirname(os.path.dirname(dctc.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (pkg_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dctc.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_script(tmp_path):

@@ -22,8 +22,8 @@ from dctc.engines import (
     ralph_iterate_many,
 )
 from dctc.gallery import cr_eps, cr_mixed, cr_pure, gallery
-from dctc.qmat import (DimSplit, check_density, maximally_mixed, random_density,
-                       trace_distance)
+from dctc.qmat import (DimSplit, check_density, hermitian_basis, maximally_mixed,
+                       random_density, trace_distance, von_neumann_entropy)
 
 STABLE = np.diag([0.5, 0.0, 0.25, 0.25]).astype(complex)
 FLAT = np.diag([1 / 3, 0.0, 1 / 3, 1 / 3]).astype(complex)
@@ -340,8 +340,39 @@ def test_limit_superoperator_matches_squaring(case, haar):
 
 
 def _lone_noisy_orbit(sys, tau0, cfg):
-    """Reference: the noisy orbit of one state, one matvec per step, stopped
-    when successive iterates are within ``tol`` in trace distance."""
+    """Reference: the noisy orbit of one state as its real coordinates in
+    the Hermitian basis, one real matvec per step, stopped when successive
+    iterates are within ``tol`` in trace distance. The residual is the
+    complex loop map's, as before the basis change."""
+    m = superoperator(sys, include_noise=True)
+    d = sys.d_cv
+    b = hermitian_basis(d)
+    mr = np.ascontiguousarray((b.conj().T @ m @ b).real)
+
+    def mat(c):
+        return (b @ c).reshape(d, d, order="F")
+
+    def image(x):
+        y = (m @ x.reshape(-1, order="F")).reshape(d, d, order="F")
+        return 0.5 * (y + y.conj().T)
+
+    c = (b.conj().T @ (0.5 * (tau0 + tau0.conj().T)).reshape(-1, order="F")).real
+    status, steps = "exhausted", cfg.max_iter
+    for n in range(1, cfg.max_iter + 1):
+        y = mr @ c
+        diff = y - c
+        if (0.5 * np.linalg.norm(diff) < cfg.tol
+                and trace_distance(mat(diff), np.zeros((d, d))) < cfg.tol):
+            c, status, steps = y, "converged", n
+            break
+        c = y
+    x = mat(c)
+    return status, steps, trace_distance(image(x), x), x
+
+
+def _complex_noisy_orbit(sys, tau0, cfg):
+    """The noisy orbit as the engine ran it on complex vecs: one complex
+    matvec and one Hermitization per step."""
     m = superoperator(sys, include_noise=True)
     d = sys.d_cv
 
@@ -357,7 +388,7 @@ def _lone_noisy_orbit(sys, tau0, cfg):
             x, status, steps = y, "converged", n
             break
         x = y
-    return status, steps, trace_distance(image(x), x), x
+    return status, steps, x
 
 
 def _same_outcome(a, b):
@@ -474,9 +505,8 @@ def test_ralph_iterate_many_short_blocks_at_large_k():
 
 
 def test_ralph_iterate_many_keeps_subnormal_bits():
-    """u2's noisy orbits reach subnormal entries, where folding the 0.5 into
-    the loop map or flushing to zero would change the bits; the stacked
-    steps keep the lone run's."""
+    """u2's noisy orbits reach subnormal coordinates, where flushing to zero
+    would change the bits; the stacked steps keep the lone run's."""
     sys = gallery()["u2"].system(rho_cr=cr_mixed(0.3), p=0.01)
     starts = [random_density(4, 100 + i) for i in range(8)]
     cfg = EngineConfig(max_iter=2000)
@@ -528,12 +558,37 @@ def _census_systems(haar):
 @pytest.mark.slow
 def test_ralph_iterate_many_census(haar):
     """3,780 outcomes, 10 starts of 63 systems under 6 step caps, each bit
-    for bit its lone run's."""
+    for bit its lone run's in real Hermitian-basis coordinates."""
     for sys in _census_systems(haar):
         starts = [random_density(sys.d_cv, 7000 + i) for i in range(10)]
         for max_iter in (5, 33, 64, 700, 2000, 10000):
             cfg = EngineConfig(max_iter=max_iter)
             _assert_lone_runs(sys, starts, ralph_iterate_many(sys, starts, cfg), cfg)
+
+
+@pytest.mark.slow
+def test_ralph_iterate_many_matches_the_complex_orbit(haar):
+    """The census systems' orbits in real Hermitian-basis coordinates
+    against the complex-vec orbit they replaced: the same status and step
+    count, and the same entropy within 1e-12 bits."""
+    for sys in _census_systems(haar):
+        starts = [random_density(sys.d_cv, 7000 + i) for i in range(10)]
+        for max_iter in (5, 700, 10000):
+            cfg = EngineConfig(max_iter=max_iter)
+            for tau0, out in zip(starts, ralph_iterate_many(sys, starts, cfg)):
+                status, steps, state = _complex_noisy_orbit(sys, tau0, cfg)
+                assert (out.status, out.steps) == (status, steps)
+                assert abs(von_neumann_entropy(out.state) - von_neumann_entropy(state)) < 1e-12
+
+
+def test_ralph_iterate_many_rejects_a_map_that_breaks_hermiticity(monkeypatch):
+    """The p > 0 orbit needs a Hermiticity-preserving loop map for its real
+    coordinates; X -> i X is not one."""
+    sys = gallery()["u2"].system(p=0.01)
+    monkeypatch.setattr(engines, "superoperator",
+                        lambda sys, include_noise: 1j * np.eye(sys.d_cv ** 2))
+    with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+        ralph_iterate_many(sys, [maximally_mixed(4)])
 
 
 @pytest.mark.parametrize("name", ["u1", "u2"])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import dctc
+from dctc import maxent
 from dctc.channels import _SUPEROP_PATH, depolarize, superoperator, unvec, vec
 from dctc.engines import (FIXED_SUBSPACE_SVD_TOL, ConvergenceError, consistency_residual,
                           ralph_closed_form)
@@ -85,6 +86,16 @@ def test_deutsch_rule_grid_names_a_failed_cell(fail_solve):
     with pytest.raises(ConvergenceError, match=r"\(eps_a, eps_b\) = \(0\.5, 0\.0\)") as info:
         deutsch_rule_grid(eps_values=(0.0, 0.5))
     assert info.value.__cause__ is cause
+
+
+def test_deutsch_rule_grid_names_an_unconverged_cell(monkeypatch):
+    """An ascent that stops on its step cap is a failed cell too, not a
+    silent entropy."""
+    monkeypatch.setattr(maxent, "GRAD_TOL", 0.0)
+    monkeypatch.setattr(maxent, "MAX_ASCENT_ITER", 1)
+    with pytest.raises(ConvergenceError,
+                       match=r"\(eps_a, eps_b\) = \(0\.0, 0\.0\): ascent stopped unconverged"):
+        deutsch_rule_grid(eps_values=(0.0, 0.5))
 
 
 def test_run_fig2_small():

@@ -8,6 +8,7 @@ from dctc.qmat import (
     DimSplit,
     check_density,
     check_unitary,
+    hermitian_basis,
     maximally_mixed,
     partial_trace,
     random_density,
@@ -247,3 +248,31 @@ def test_maximally_mixed():
     assert np.array_equal(maximally_mixed(4), np.eye(4) / 4)
     with pytest.raises(ValueError):
         maximally_mixed(0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_hermitian_basis_is_orthonormal_and_hermitian(d):
+    """The columns are Hermitian operators, orthonormal in the
+    Hilbert-Schmidt inner product <A, B> = tr(A^H B)."""
+    b = hermitian_basis(d)
+    mats = b.T.reshape(-1, d, d).transpose(0, 2, 1)  # unvec of each column
+    assert b.shape == (d * d, d * d)
+    assert np.array_equal(mats, mats.conj().transpose(0, 2, 1))
+    gram = np.einsum("aij,bij->ab", mats.conj(), mats)
+    assert np.abs(gram - np.eye(d * d)).max() < 1e-15
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_hermitian_basis_round_trip(d):
+    """Any real coordinates give an exactly Hermitian operator, and a
+    Hermitian operator's coordinates ``Re(B^H vec X)`` give it back."""
+    b = hermitian_basis(d)
+    c = np.random.default_rng(d).standard_normal(d * d)
+    x = (b @ c).reshape(d, d, order="F")
+    assert np.array_equal(x, x.conj().T)
+    rho = random_density(d, 30 + d)
+    coords = b.conj().T @ rho.reshape(-1, order="F")
+    assert np.abs(coords.imag).max() < 1e-15
+    back = (b @ coords.real).reshape(d, d, order="F")
+    assert np.array_equal(back, back.conj().T)
+    assert np.abs(back - rho).max() < 1e-15
