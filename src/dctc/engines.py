@@ -6,12 +6,12 @@ in the closed-timelike-curve literature:
 * ``deutsch_cesaro``: Cesaro average of the noiseless orbit, read off the
   ergodic projector ``P`` of the noiseless loop map ``M`` (its projector
   onto the eigenvalue-1 space along the rest of the spectrum). Eigenvalue 1
-  of a channel is semisimple, so ``P = R (L^H R)^{-1} L^H`` with ``R`` and
+  of a channel is semisimple, so ``P = R (L^T R)^{-1} L^T`` with ``R`` and
   ``L`` the right and left kernels of ``M - Id``, and the Cesaro limit from
   ``tau0`` is exactly ``P vec(tau0)``. ``limit_superoperator`` (``P``,
-  when the powers of ``M`` converge) and ``fixed_subspace`` (the Hermitian
-  span of ``R``) are views of the same projector; all three take their
-  kernels from one SVD under ``FIXED_SUBSPACE_SVD_TOL``.
+  when the powers of ``M`` converge) and ``fixed_subspace`` (the range of
+  ``P``) are views of the same projector; all three take their kernels
+  from one SVD under ``FIXED_SUBSPACE_SVD_TOL``.
 * ``allen_cesaro``: Cesaro average across the depolarization-interleaved
   orbit. For ``p > 0`` the interleaved orbit contracts geometrically, so
   the average's limit equals the orbit limit: this picture is
@@ -22,11 +22,19 @@ in the closed-timelike-curve literature:
   stack of CR inputs at once, and ``ralph_closed_form`` is its one-system
   call.
 
+The orbits and the projector read ``M`` in one real form, from
+``_real_map``: the operators ``B c`` of the orthonormal Hermitian basis
+``B = qmat.hermitian_basis(d)`` with real coordinates ``c``, on which the
+map is the real matrix ``Re(B^H M B)``. ``B c`` is exactly Hermitian for
+every real ``c``, so no step Hermitizes, and a map that does not preserve
+Hermiticity raises ``ValueError``. The SVD, the kernels and ``P`` above are
+those of ``Re(B^H M B) - Id``.
+
 ``ralph_iterate_many`` is the one orbit entry point (``ralph_iterate`` is
 its one-start call). It builds the loop map once per call and drives
 every start with it:
 
-* at p = 0, ``_run_orbit``, the cycle scan: one state at a time, since
+* at p = 0, ``_run_orbit``, the cycle scan: one start at a time, since
   noiseless orbits may cycle. A new iterate matching a window entry at lag
   T (trace distance below ``tol``) is declared a cycle only when the lag-1
   motion is at least ``10 * tol`` and has not decayed over the last period
@@ -38,31 +46,22 @@ every start with it:
   allocated per call; one numpy pass gives the Frobenius distance from the
   new iterate to every entry, and only lags within ``tol`` in that norm
   (a necessary condition) are checked further, smallest lag first.
-* at p > 0, the contraction: every start advances together as its real
-  coordinates in ``qmat.hermitian_basis``, one stacked real matvec per
-  step and up to ``_NOISY_BLOCK`` steps per Python round trip, with one
-  stop test per block and no cycle scan (a strict contraction has no
-  nontrivial cycle). Each start stops, and its row is computed, exactly as
-  a lone run of the same start would.
+* at p > 0, the contraction: every start advances together, one stacked
+  real matvec per step and up to ``_NOISY_BLOCK`` steps per Python round
+  trip, with one stop test per block and no cycle scan (a strict
+  contraction has no nontrivial cycle). Each start stops, and its row is
+  computed, exactly as a lone run of the same start would.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    CtcSystem,
-    _cv_state,
-    apply_superoperator,
-    cv_map,
-    loop_maps,
-    superoperator,
-    vec,
-)
-from .qmat import (PSD_TOL, _checked_spectrum, hermitian_basis, hermitian_span,
-                   maximally_mixed, trace_distance)
+from .channels import CtcSystem, _cv_state, cv_map, loop_maps, superoperator, vec
+from .qmat import PSD_TOL, _checked_spectrum, hermitian_basis, maximally_mixed, trace_distance
 
 FIXED_SUBSPACE_SVD_TOL = 1e-8
 _CYCLE_GUARD = 10.0
@@ -86,8 +85,8 @@ class EngineConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:  # also false for nan
+            raise ValueError("tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -131,74 +130,28 @@ def _sym(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + x.conj().T)
 
 
-def _run_orbit(m: np.ndarray, perm: np.ndarray, x: np.ndarray,
-               cfg: EngineConfig) -> IterationOutcome:
-    """Drive the noiseless loop map ``m`` (a superoperator matrix) from the
-    Hermitian start ``x`` until fixed point, cycle, or exhaustion; ``perm``
-    is the adjoint's index map, vec(X^H) = conj(vec(X)[perm])."""
-    d = x.shape[0]
-    # The orbit is kept as column-stacked vecs. Every iterate is exactly
-    # Hermitian, so column by column its entries' moduli come in the order
-    # they do row by row: the Frobenius sums below take the terms
-    # np.linalg.norm takes on the matrices, in its order, and give its bits.
+def _real_map(m: np.ndarray):
+    """The orthonormal Hermitian basis ``B`` of the d x d operators and the
+    loop map ``m`` (a superoperator matrix) on their real coordinates,
+    ``Re(B^H m B)``. Raises ``ValueError`` when the dropped imaginary part
+    exceeds 1e-12: ``m`` then does not preserve Hermiticity."""
+    basis = hermitian_basis(math.isqrt(len(m)))
+    mr = basis.conj().T @ m @ basis
+    if np.abs(mr.imag).max() > 1e-12:
+        raise ValueError("loop map does not preserve Hermiticity")
+    return basis, np.ascontiguousarray(mr.real)
 
-    def step(v):  # vec(_sym(unvec(m @ v)))
-        y = m @ v
-        return 0.5 * (y + y[perm].conj())
 
-    def mat(v):
-        return v.reshape(d, d, order="F")
+def _coords(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Real coordinates ``Re(B^H vec(x))`` of the Hermitian part of ``x``."""
+    return (basis.conj().T @ x.reshape(-1, order="F")).real
 
-    # The window x_{n-w} .. x_{n-1} (w <= _CYCLE_WINDOW) is the view
-    # buf[lo:hi] of a buffer twice its size, so it slides without copying;
-    # a full buffer is compacted once every _CYCLE_WINDOW steps. motions[k]
-    # is the Frobenius ||buf[k] - its predecessor||, inf for x_0.
-    buf = np.empty((2 * _CYCLE_WINDOW, d * d), dtype=complex)
-    motions = np.empty(2 * _CYCLE_WINDOW)
-    v = x.reshape(-1, order="F")
-    buf[0], motions[0] = v, np.inf
-    lo, hi = 0, 1
-    tol = cfg.tol
 
-    for n in range(1, cfg.max_iter + 1):
-        v_new = step(v)
-        diff = v_new - v
-        d1_fro = float(np.sqrt(diff.real.dot(diff.real) + diff.imag.dot(diff.imag)))
-
-        # Fixed point: trace distance between successive iterates below tol.
-        if 0.5 * d1_fro < tol and trace_distance(mat(v_new), mat(v)) < tol:
-            return IterationOutcome("converged", mat(v_new).copy(), n,
-                                    trace_distance(mat(step(v_new)), mat(v_new)))
-
-        # Cycle scan over lags 2..w, smallest lag wins: only entries within
-        # tol in Frobenius norm can be within tol in trace distance.
-        if 0.5 * d1_fro >= _CYCLE_GUARD * tol and hi - lo >= 2:
-            gap = buf[lo:hi - 1] - v_new
-            fro = np.sqrt(np.add.reduce((gap.conj() * gap).real, axis=1))
-            for k in (0.5 * fro < tol).nonzero()[0][::-1] + lo:  # buf[k] is x_{n-lag}
-                if trace_distance(mat(v_new), mat(buf[k])) >= tol:
-                    continue
-                prev_motion = motions[k]
-                if not np.isfinite(prev_motion) or prev_motion <= 0:
-                    continue  # not enough history; keep iterating
-                if d1_fro / prev_motion < _CYCLE_DECAY_MIN:
-                    continue  # motion is decaying: converging, not cycling
-                cycle = tuple(mat(c).copy() for c in buf[k:hi])
-                return IterationOutcome("cycle", _sym(sum(cycle) / len(cycle)), n,
-                                        trace_distance(mat(step(buf[hi - 1])), cycle[0]),
-                                        cycle)
-
-        if hi == len(buf):
-            keep = _CYCLE_WINDOW - 1
-            buf[:keep], motions[:keep] = buf[hi - keep:hi], motions[hi - keep:hi]
-            lo, hi = 0, keep
-        buf[hi], motions[hi] = v_new, d1_fro
-        hi += 1
-        lo = max(lo, hi - _CYCLE_WINDOW)
-        v = v_new
-
-    return IterationOutcome("exhausted", mat(v).copy(), cfg.max_iter,
-                            trace_distance(mat(step(v)), mat(v)))
+def _states(basis: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    """The exactly Hermitian operators whose coordinates are the rows of
+    ``cs`` (n, d*d), as an (n, d, d) array."""
+    d = math.isqrt(len(basis))
+    return np.ascontiguousarray((cs @ basis.T).reshape(-1, d, d).swapaxes(1, 2))
 
 
 def _trace_distances(diffs: np.ndarray, d: int) -> np.ndarray:
@@ -210,46 +163,114 @@ def _trace_distances(diffs: np.ndarray, d: int) -> np.ndarray:
     return 0.5 * np.abs(w).sum(-1)
 
 
+def _residuals(mr: np.ndarray, basis: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    """Trace distance between the image under ``mr`` of each coordinate row
+    of ``cs`` (n, d*d) and the row. On the (n, d*d, 1) stack numpy runs one
+    matvec per row, so each distance has its lone row's bits."""
+    img = np.matmul(mr, cs[:, :, None])[:, :, 0]
+    return _trace_distances((img - cs) @ basis.T, math.isqrt(len(basis)))
+
+
+def _settled(status: str, mr: np.ndarray, basis: np.ndarray, c: np.ndarray,
+             steps: int) -> IterationOutcome:
+    """The outcome whose state has the coordinates ``c``, with its residual."""
+    c = c[None]
+    return IterationOutcome(status, _states(basis, c)[0], steps,
+                            float(_residuals(mr, basis, c)[0]))
+
+
+def _run_orbit(mr: np.ndarray, basis: np.ndarray, c: np.ndarray,
+               cfg: EngineConfig) -> IterationOutcome:
+    """Drive the noiseless loop map from the start coordinates ``c`` until
+    fixed point, cycle, or exhaustion; ``basis`` and ``mr`` are
+    ``_real_map``'s. ``basis`` is orthonormal, so Frobenius norms are
+    2-norms of coordinates; trace distances are taken through ``basis``."""
+    d = math.isqrt(len(basis))
+    # The window x_{n-w} .. x_{n-1} (w <= _CYCLE_WINDOW) is the view
+    # buf[lo:hi] of a buffer twice its size, so it slides without copying;
+    # a full buffer is compacted once every _CYCLE_WINDOW steps. motions[k]
+    # is the Frobenius ||buf[k] - its predecessor||, inf for x_0.
+    buf = np.empty((2 * _CYCLE_WINDOW, len(c)))
+    motions = np.empty(2 * _CYCLE_WINDOW)
+    buf[0], motions[0] = c, np.inf
+    lo, hi = 0, 1
+    tol = cfg.tol
+
+    for n in range(1, cfg.max_iter + 1):
+        c_new = mr @ c
+        diff = c_new - c
+        d1_fro = math.sqrt(diff @ diff)
+
+        # Fixed point: trace distance between successive iterates below tol.
+        if 0.5 * d1_fro < tol and _trace_distances(diff[None] @ basis.T, d)[0] < tol:
+            return _settled("converged", mr, basis, c_new, n)
+
+        # Cycle scan over lags 2..w, smallest lag wins: only entries within
+        # tol in Frobenius norm can be within tol in trace distance.
+        if 0.5 * d1_fro >= _CYCLE_GUARD * tol and hi - lo >= 2:
+            gap = c_new - buf[lo:hi - 1]
+            near = (0.5 * np.sqrt(np.add.reduce(gap * gap, axis=1)) < tol).nonzero()[0][::-1]
+            if near.size:
+                dists = _trace_distances(gap[near] @ basis.T, d)
+                for k, dist in zip(near + lo, dists):  # buf[k] is x_{n-lag}
+                    if dist >= tol:
+                        continue
+                    prev_motion = motions[k]
+                    if not np.isfinite(prev_motion) or prev_motion <= 0:
+                        continue  # not enough history; keep iterating
+                    if d1_fro / prev_motion < _CYCLE_DECAY_MIN:
+                        continue  # motion is decaying: converging, not cycling
+                    # The image of the cycle's last state is x_n, so the
+                    # closure defect is this lag's distance.
+                    cycle = buf[k:hi]
+                    return IterationOutcome("cycle", _states(basis, cycle.mean(0)[None])[0],
+                                            n, float(dist), tuple(_states(basis, cycle)))
+
+        if hi == len(buf):
+            keep = _CYCLE_WINDOW - 1
+            buf[:keep], motions[:keep] = buf[hi - keep:hi], motions[hi - keep:hi]
+            lo, hi = 0, keep
+        buf[hi], motions[hi] = c_new, d1_fro
+        hi += 1
+        lo = max(lo, hi - _CYCLE_WINDOW)
+        c = c_new
+
+    return _settled("exhausted", mr, basis, c, cfg.max_iter)
+
+
 def ralph_iterate_many(sys: CtcSystem, tau0s,
                        cfg: EngineConfig | None = None) -> list[IterationOutcome]:
     """Iterate the noisy map ``tau -> (1-p) D(tau) + p I/d`` from each start
-    in ``tau0s``, building the loop map once for the whole call.
+    in ``tau0s``, building the loop map once for the whole call. Orbits run
+    on the starts' real coordinates in the Hermitian basis, one real
+    matrix-vector product per step.
 
     At p = 0 each start runs the cycle scan in turn. At p > 0 all starts
-    advance together, one stacked real matrix-vector product per step on
-    their Hermitian-basis coordinates, in blocks of steps with one stop
-    test each and with no cycle scan (a strict contraction has no
-    nontrivial cycle): a start stops at the first step whose iterate is
-    within ``tol`` of the previous one in trace distance, or is "exhausted"
-    after ``max_iter`` steps with its last iterate. Either way each outcome
-    is bit for bit the one for that start alone, whichever other starts
-    share the call. A loop map that does not preserve Hermiticity raises
+    advance together as one stack, in blocks of steps with one stop test
+    each and with no cycle scan (a strict contraction has no nontrivial
+    cycle): a start stops at the first step whose iterate is within ``tol``
+    of the previous one in trace distance, or is "exhausted" after
+    ``max_iter`` steps with its last iterate. Either way each outcome is
+    bit for bit the one for that start alone, whichever other starts share
+    the call. A loop map that does not preserve Hermiticity raises
     ``ValueError``.
     """
     cfg = cfg or EngineConfig()
     starts = [_sym(_cv_state(sys, t)) for t in tau0s]
     if not starts:
         return []
-    m = superoperator(sys, include_noise=True)  # the noiseless map at p = 0
-    d, tol = sys.d_cv, cfg.tol
-    # vec(X^H) = conj(vec(X)[perm])
-    perm = np.arange(d * d).reshape(d, d).T.ravel()
+    # the noiseless map at p = 0
+    basis, mr = _real_map(superoperator(sys, include_noise=True))
+    x = np.stack([_coords(basis, t) for t in starts])
     if sys.p == 0.0:
-        return [_run_orbit(m, perm, x, cfg) for x in starts]
-    # The orbit runs on the real coordinates c of vec(X) = B c in the
-    # orthonormal Hermitian basis B, where the map is the real Re(B^H m B):
-    # B c is exactly Hermitian for every real c, so no step Hermitizes.
-    basis = hermitian_basis(d)
-    mr = basis.conj().T @ m @ basis
-    if np.abs(mr.imag).max() > 1e-12:
-        raise ValueError("loop map does not preserve Hermiticity")
-    mr = np.ascontiguousarray(mr.real)
+        return [_run_orbit(mr, basis, c, cfg) for c in x]
+    d, tol = sys.d_cv, cfg.tol
     k, dd = len(starts), d * d
     # The block buffer holds nb + 1 iterates of every live column: nb steps
     # per Python round trip, shrunk at large k to keep the buffer near
     # _NOISY_BUFFER entries and grown back up to _NOISY_BLOCK as columns stop.
     cap = (max(1, min(_NOISY_BLOCK, _NOISY_BUFFER // (k * dd))) + 1) * k * dd
-    x = np.stack([(basis.conj().T @ t.reshape(-1, order="F")).real for t in starts])[:, :, None]
+    x = x[:, :, None]
     live = np.arange(k)  # start index of each stacked column
     last = np.empty((k, dd))  # final coordinates of each start
     steps = np.zeros(k, dtype=int)  # the step each start stopped at, 0 if none
@@ -297,14 +318,8 @@ def ralph_iterate_many(sys: CtcSystem, tau0s,
             live, x = np.delete(live, cols), np.delete(x, cols, axis=0)
         n += b
     last[live] = x[:, :, 0]
-    # Residual: trace distance between the noisy map's image of each final
-    # state and the state.
-    fin = (last @ basis.T)[:, :, None]
-    img = np.matmul(m, fin)
-    img = 0.5 * (img + img[:, perm].conj())
-    resid = _trace_distances((img - fin)[:, :, 0], d)
-    return [IterationOutcome("converged" if steps[i] else "exhausted",
-                             np.ascontiguousarray(fin[i, :, 0].reshape(d, d).T),
+    resid, states = _residuals(mr, basis, last), _states(basis, last)
+    return [IterationOutcome("converged" if steps[i] else "exhausted", states[i],
                              int(steps[i]) or cfg.max_iter, float(resid[i]))
             for i in range(k)]
 
@@ -316,32 +331,24 @@ def ralph_iterate(sys: CtcSystem, tau0, cfg: EngineConfig | None = None) -> Iter
 
 
 def _fixed_kernels(sys: CtcSystem):
-    """The noiseless loop map ``M`` and, from one SVD of ``M - Id``, its
-    right and left kernels ``R`` and ``L`` (as columns): the right and left
-    singular vectors whose singular value is at most
-    ``FIXED_SUBSPACE_SVD_TOL``."""
-    d = sys.d_cv
-    m = superoperator(sys, include_noise=False)
-    u, s, vh = np.linalg.svd(m - np.eye(d * d, dtype=complex))
-    null = s <= FIXED_SUBSPACE_SVD_TOL
-    return m, vh[null].conj().T, u[:, null]
+    """The noiseless loop map in real coordinates and its fixed directions,
+    from one SVD of ``mr - Id``.
 
-
-def _ergodic_projector(sys: CtcSystem):
-    """The noiseless loop map ``M`` and its projector onto the eigenvalue-1
-    space along the rest of the spectrum, ``P = R (L^H R)^{-1} L^H``.
-
-    Eigenvalue 1 of a channel is semisimple, so ``L^H R`` is invertible and
-    ``P`` is the Cesaro limit ``lim (1/n) sum_k M^k``.
+    Returns ``B`` and ``mr`` (``_real_map``), the right kernel ``R`` (the
+    right singular vectors whose singular value is at most
+    ``FIXED_SUBSPACE_SVD_TOL``, as orthonormal columns: the coordinates of
+    an orthonormal Hermitian basis of the fixed operators), and the ergodic
+    projector ``P = R (L^T R)^{-1} L^T`` in coordinates, ``L`` the left
+    kernel. Eigenvalue 1 of a channel is semisimple, so ``L^T R`` is
+    invertible and ``P`` is the Cesaro limit ``lim (1/n) sum_k mr^k``.
     """
-    m, r, l = _fixed_kernels(sys)
-    return m, _projector(r, l)
-
-
-def _projector(r: np.ndarray, l: np.ndarray) -> np.ndarray:
-    """``R (L^H R)^{-1} L^H`` for right and left kernels ``R`` and ``L``."""
-    lh = l.conj().T
-    return r @ np.linalg.solve(lh @ r, lh)
+    basis, mr = _real_map(superoperator(sys, include_noise=False))
+    u, s, vt = np.linalg.svd(mr - np.eye(len(mr)))
+    null = s <= FIXED_SUBSPACE_SVD_TOL
+    if not null.any():
+        raise ConvergenceError("no fixed directions found; the map should have at least one")
+    r, l = vt[null].T, u[:, null]
+    return basis, mr, r, r @ np.linalg.solve(l.T @ r, l.T)
 
 
 def deutsch_cesaro(sys: CtcSystem, tau0) -> IterationOutcome:
@@ -354,10 +361,8 @@ def deutsch_cesaro(sys: CtcSystem, tau0) -> IterationOutcome:
     between the map's image of the state and the state.
     """
     t0 = _cv_state(sys, tau0)
-    m, proj = _ergodic_projector(sys)
-    state = _sym(apply_superoperator(proj, t0))
-    return IterationOutcome("converged", state, 0,
-                            trace_distance(_sym(apply_superoperator(m, state)), state))
+    basis, mr, _, proj = _fixed_kernels(sys)
+    return _settled("converged", mr, basis, proj @ _coords(basis, t0), 0)
 
 
 def allen_cesaro(sys: CtcSystem, tau0, cfg: EngineConfig | None = None) -> IterationOutcome:
@@ -419,34 +424,17 @@ def consistency_residual(sys: CtcSystem, tau) -> float:
 
 
 def fixed_subspace(sys: CtcSystem) -> FixedSubspace:
-    """Hermitian basis of the noiseless map's fixed operators.
-
-    The right kernel of ``M - Id`` (singular values at most
-    ``FIXED_SUBSPACE_SVD_TOL``) is closed under the adjoint, Hermitized,
-    and orthonormalized.
-    """
-    m, r, _ = _fixed_kernels(sys)
-    return _fixed_span(m, r)
-
-
-def _fixed_span(m: np.ndarray, r: np.ndarray) -> FixedSubspace:
-    """``fixed_subspace`` from the loop map ``m`` and its right kernel ``r``
-    (as columns) out of ``_fixed_kernels``."""
-    d = int(round(np.sqrt(m.shape[0])))
-    # Kernel vectors as matrices (unvec of each); their Hermitian and
-    # anti-Hermitian parts span the fixed Hermitian operators.
-    b = r.T.reshape(-1, d, d).transpose(0, 2, 1)
-    bh = b.conj().transpose(0, 2, 1)
-    basis = hermitian_span(np.concatenate([0.5 * (b + bh), (b - bh) / 2j]))
-    basis = [b for b in basis
-             if np.linalg.norm(apply_superoperator(m, b) - b) < FIXED_SUBSPACE_SVD_TOL]
-    if not basis:
-        raise ConvergenceError("no fixed directions found; the map should have at least one")
-    return FixedSubspace(tuple(basis))
+    """Hermitian basis of the noiseless map's fixed operators: the
+    operators whose coordinates are the right kernel of ``Re(B^H M B) -
+    Id`` (singular values at most ``FIXED_SUBSPACE_SVD_TOL``), orthonormal
+    because ``B`` and the kernel's columns are."""
+    basis, _, r, _ = _fixed_kernels(sys)
+    return FixedSubspace(tuple(_states(basis, r.T)))
 
 
 def limit_superoperator(sys: CtcSystem) -> np.ndarray:
-    """Limit of the powers of the noiseless loop map.
+    """Limit of the powers of the noiseless loop map, as a superoperator
+    matrix on vecs.
 
     The limit is the ergodic projector ``P`` when every eigenvalue other
     than 1 lies strictly inside the unit disc. Raises ``ConvergenceError``
@@ -455,9 +443,9 @@ def limit_superoperator(sys: CtcSystem) -> np.ndarray:
     do for a map with non-trivial eigenvalues on the unit circle, or settle
     too slowly to tell apart from that.
     """
-    m, proj = _ergodic_projector(sys)
-    if np.abs(np.linalg.eigvals(m - proj)).max() >= 1.0 - FIXED_SUBSPACE_SVD_TOL:
+    basis, mr, _, proj = _fixed_kernels(sys)
+    if np.abs(np.linalg.eigvals(mr - proj)).max() >= 1.0 - FIXED_SUBSPACE_SVD_TOL:
         raise ConvergenceError(
             "superoperator powers do not converge; "
             "the map has rotating spectrum on the unit circle")
-    return proj
+    return basis @ proj @ basis.conj().T

@@ -30,9 +30,8 @@ from . import __version__
 from .channels import (channel_distance, choi_matrix, cv_maps, depolarize,
                        kraus_commutator_residual, kraus_completeness_defect,
                        kraus_from_choi, superoperator_from_kraus)
-from .engines import (ConvergenceError, EngineConfig, closed_forms, deutsch_cesaro,
-                      limit_superoperator, ralph_closed_form, ralph_iterate,
-                      ralph_iterate_many)
+from .engines import (ConvergenceError, EngineConfig, closed_forms, limit_superoperator,
+                      ralph_closed_form, ralph_iterate, ralph_iterate_many)
 from .gallery import (cr_eps, cr_mixed, cr_pure, cr_swap_symmetric, gallery,
                       limit_kraus_ops)
 from .maxent import max_entropy_fixed_state
@@ -409,7 +408,7 @@ def _selection_section(g) -> dict:
         probes.append({"p": p,
                        "entropy_bits": von_neumann_entropy(tau),
                        "state": _mat_json(tau)})
-    limit_state = deutsch_cesaro(g["u2"].system(), maximally_mixed(4)).state
+    limit_state = sel.anchor  # deutsch_cesaro from I/4
     return {
         "max_entropy_entropy_bits": sel.entropy_bits,
         "max_entropy_state": _mat_json(sel.state),

@@ -27,14 +27,13 @@ import numpy as np
 from .engines import (
     ConvergenceError,
     FixedSubspace,
+    _coords,
     _fixed_kernels,
-    _fixed_span,
-    _projector,
-    _sym,
+    _residuals,
+    _states,
 )
-from .channels import CtcSystem, apply_superoperator
-from .qmat import (ENTROPY_CLAMP, check_density, hermitian_span, maximally_mixed,
-                   trace_distance, _as_square)
+from .channels import CtcSystem
+from .qmat import ENTROPY_CLAMP, check_density, hermitian_span, maximally_mixed, _as_square
 
 _LOG2 = np.log(2.0)
 
@@ -53,6 +52,9 @@ class MaxEntResult:
     kkt_residual : Frobenius norm of the final projected gradient
     converged : whether the ascent stopped on ``kkt_residual < GRAD_TOL``;
         False when it ran out of steps or its line search found no step
+    fixed_dim : dimension of the fixed-operator span, ``fixed_subspace``'s
+    anchor : the anchor ``P(I)/d``, ``deutsch_cesaro`` from ``I/d`` bit for
+        bit
     """
 
     state: np.ndarray
@@ -60,6 +62,8 @@ class MaxEntResult:
     iterations: int
     kkt_residual: float
     converged: bool
+    fixed_dim: int
+    anchor: np.ndarray
 
 
 def entropy_gradient(rho) -> np.ndarray:
@@ -114,12 +118,13 @@ def max_entropy_fixed_state(sys: CtcSystem) -> MaxEntResult:
     meets the Armijo condition. Stops when the projected gradient norm
     falls below ``GRAD_TOL`` (``converged``), or unconverged after
     ``MAX_ASCENT_ITER`` steps or a failed line search. The anchor,
-    its consistency check and the fixed span all use one SVD of ``M - Id``.
+    its consistency check and the fixed span all use one SVD of ``M - Id``
+    in real Hermitian-basis coordinates.
     """
-    m, r, l = _fixed_kernels(sys)
-    anchor = _sym(apply_superoperator(_projector(r, l), maximally_mixed(sys.d_cv)))
-    anchor = check_density(anchor, psd_tol=1e-9)
-    if trace_distance(_sym(apply_superoperator(m, anchor)), anchor) >= 1e-6:
+    basis, mr, r, proj = _fixed_kernels(sys)
+    c = (proj @ _coords(basis, maximally_mixed(sys.d_cv)))[None]
+    anchor = check_density(_states(basis, c)[0], psd_tol=1e-9)
+    if _residuals(mr, basis, c)[0] >= 1e-6:
         raise ConvergenceError("anchor state is not consistent within 1e-6")
 
     # The anchor in its own eigenbasis, restricted to its support ``v``.
@@ -127,7 +132,8 @@ def max_entropy_fixed_state(sys: CtcSystem) -> MaxEntResult:
     w, v = w[w > ENTROPY_CLAMP], v[:, w > ENTROPY_CLAMP]
     tau = np.diag(w).astype(complex)
     entropy = float(-(w @ np.log2(w)))
-    dirs = v.conj().T @ _trace_zero_directions(_fixed_span(m, r)) @ v
+    span = FixedSubspace(tuple(_states(basis, r.T)))
+    dirs = v.conj().T @ _trace_zero_directions(span) @ v
     if len(dirs):
         dirs = hermitian_span(dirs)
 
@@ -165,4 +171,5 @@ def max_entropy_fixed_state(sys: CtcSystem) -> MaxEntResult:
 
     state = v @ tau @ v.conj().T
     return MaxEntResult(0.5 * (state + state.conj().T),
-                        0.0 if entropy <= 0.0 else entropy, iterations, kkt, converged)
+                        0.0 if entropy <= 0.0 else entropy, iterations, kkt, converged,
+                        r.shape[1], anchor)

@@ -10,7 +10,6 @@ from dctc.engines import (
     ConvergenceError,
     EngineConfig,
     IterationOutcome,
-    _ergodic_projector,
     _sym,
     allen_cesaro,
     consistency_residual,
@@ -22,6 +21,7 @@ from dctc.engines import (
     ralph_iterate_many,
 )
 from dctc.gallery import cr_eps, cr_mixed, cr_pure, gallery
+from dctc.maxent import max_entropy_fixed_state
 from dctc.qmat import (DimSplit, check_density, hermitian_basis, maximally_mixed,
                        random_density, trace_distance, von_neumann_entropy)
 
@@ -39,8 +39,9 @@ SWAP2 = np.array([[1, 0, 0, 0],
 def test_engine_config_validation():
     with pytest.raises(ValueError):
         EngineConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        EngineConfig(tol=0.0)
+    for tol in (0.0, -1e-10, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            EngineConfig(tol=tol)
 
 
 def test_cycle_detection_period_three():
@@ -284,9 +285,10 @@ IRRATIONAL = CtcSystem(np.diag([1, 1, 1, np.exp(1j * np.sqrt(2))]),
 
 @pytest.mark.parametrize("case", ["u1", "u2", *HAAR_CASES])
 def test_ergodic_projector_is_the_fixed_projection(case, haar):
-    """P is idempotent and absorbs the map on both sides: M P = P M = P."""
+    """P is idempotent and absorbs the map on both sides: M P = P M = P, in
+    real Hermitian-basis coordinates."""
     sys = _case_system(case, haar)
-    m, proj = _ergodic_projector(sys)
+    _, m, _, proj = engines._fixed_kernels(sys)
     assert np.abs(proj @ proj - proj).max() < 1e-12
     assert np.abs(m @ proj - proj).max() < 1e-12
     assert np.abs(proj @ m - proj).max() < 1e-12
@@ -343,31 +345,37 @@ def _lone_noisy_orbit(sys, tau0, cfg):
     """Reference: the noisy orbit of one state as its real coordinates in
     the Hermitian basis, one real matvec per step, stopped when successive
     iterates are within ``tol`` in trace distance. The residual is the
-    complex loop map's, as before the basis change."""
-    m = superoperator(sys, include_noise=True)
-    d = sys.d_cv
-    b = hermitian_basis(d)
-    mr = np.ascontiguousarray((b.conj().T @ m @ b).real)
-
-    def mat(c):
-        return (b @ c).reshape(d, d, order="F")
-
-    def image(x):
-        y = (m @ x.reshape(-1, order="F")).reshape(d, d, order="F")
-        return 0.5 * (y + y.conj().T)
-
-    c = (b.conj().T @ (0.5 * (tau0 + tau0.conj().T)).reshape(-1, order="F")).real
+    trace distance of the final coordinates' real image from them."""
+    mr, mat, dist = _real_form(superoperator(sys, include_noise=True), sys.d_cv)
+    c = _coordinates(_sym(tau0))
     status, steps = "exhausted", cfg.max_iter
     for n in range(1, cfg.max_iter + 1):
         y = mr @ c
         diff = y - c
-        if (0.5 * np.linalg.norm(diff) < cfg.tol
-                and trace_distance(mat(diff), np.zeros((d, d))) < cfg.tol):
+        if 0.5 * np.linalg.norm(diff) < cfg.tol and dist(diff) < cfg.tol:
             c, status, steps = y, "converged", n
             break
         c = y
-    x = mat(c)
-    return status, steps, trace_distance(image(x), x), x
+    return status, steps, dist(mr @ c - c), mat(c)
+
+
+def _real_form(m, d):
+    """The loop map ``m`` on real Hermitian-basis coordinates, the operator
+    ``B c`` of coordinates ``c``, and its trace distance from zero."""
+    b = hermitian_basis(d)
+
+    def mat(c):
+        return (b @ c).reshape(d, d, order="F")
+
+    def dist(c):
+        return trace_distance(mat(c), np.zeros((d, d)))
+
+    return np.ascontiguousarray((b.conj().T @ m @ b).real), mat, dist
+
+
+def _coordinates(x):
+    """Real Hermitian-basis coordinates of the Hermitian operator ``x``."""
+    return (hermitian_basis(len(x)).conj().T @ x.reshape(-1, order="F")).real
 
 
 def _complex_noisy_orbit(sys, tau0, cfg):
@@ -581,14 +589,61 @@ def test_ralph_iterate_many_matches_the_complex_orbit(haar):
                 assert abs(von_neumann_entropy(out.state) - von_neumann_entropy(state)) < 1e-12
 
 
-def test_ralph_iterate_many_rejects_a_map_that_breaks_hermiticity(monkeypatch):
-    """The p > 0 orbit needs a Hermiticity-preserving loop map for its real
-    coordinates; X -> i X is not one."""
-    sys = gallery()["u2"].system(p=0.01)
+def _times_i(m):
+    return 1j * np.eye(len(m))
+
+
+def _nudged(m):
+    m = m.copy()
+    m[1, 0] += 1e-3
+    return m
+
+
+def _patch_loop_map(monkeypatch, change):
+    real = engines.superoperator
     monkeypatch.setattr(engines, "superoperator",
-                        lambda sys, include_noise: 1j * np.eye(sys.d_cv ** 2))
+                        lambda sys, include_noise: change(real(sys, include_noise)))
+
+
+@pytest.mark.parametrize("p", [0.0, 0.01])
+@pytest.mark.parametrize("breaks", [_times_i, _nudged])
+def test_ralph_iterate_many_rejects_a_map_that_breaks_hermiticity(p, breaks, monkeypatch):
+    """Orbits at every p need a Hermiticity-preserving loop map for their
+    real coordinates. Neither X -> i X nor u2's map with 1e-3 added at one
+    entry is one; on complex vecs a Hermitized p = 0 orbit took the latter
+    as converging in 3 steps."""
+    _patch_loop_map(monkeypatch, breaks)
     with pytest.raises(ValueError, match="does not preserve Hermiticity"):
-        ralph_iterate_many(sys, [maximally_mixed(4)])
+        ralph_iterate_many(gallery()["u2"].system(p=p), [maximally_mixed(4)])
+
+
+# The views of u2's noiseless loop map that read its fixed directions.
+_VIEWS = {
+    "fixed_subspace": fixed_subspace,
+    "deutsch_cesaro": lambda sys: deutsch_cesaro(sys, maximally_mixed(4)),
+    "limit_superoperator": limit_superoperator,
+    "max_entropy_fixed_state": max_entropy_fixed_state,
+}
+
+
+@pytest.mark.parametrize("view", _VIEWS)
+@pytest.mark.parametrize("breaks", [_times_i, _nudged])
+def test_fixed_point_views_reject_a_map_that_breaks_hermiticity(view, breaks, monkeypatch):
+    """The fixed-point views read the loop map in real coordinates too and
+    reject the same maps; on complex vecs the nudged map's fixed span came
+    out two-dimensional instead of three."""
+    _patch_loop_map(monkeypatch, breaks)
+    with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+        _VIEWS[view](gallery()["u2"].system())
+
+
+@pytest.mark.parametrize("view", _VIEWS)
+def test_fixed_point_views_need_a_fixed_direction(view, monkeypatch):
+    """X -> X / 2 preserves Hermiticity but fixes nothing: the kernel of
+    its SVD is empty, and each view that reads it raises."""
+    _patch_loop_map(monkeypatch, lambda m: 0.5 * np.eye(len(m)))
+    with pytest.raises(ConvergenceError, match="no fixed directions"):
+        _VIEWS[view](gallery()["u2"].system())
 
 
 @pytest.mark.parametrize("name", ["u1", "u2"])
@@ -616,8 +671,57 @@ def test_ralph_iterate_many_noiseless(name):
 
 
 def _reference_scan(m, x, cfg):
-    """Reference: the cycle scan over a list window, re-stacked every step,
-    with one Python test per lag, smallest lag first."""
+    """Reference: the cycle scan on real Hermitian-basis coordinates, one
+    real matvec per step, over a list window re-stacked every step, with
+    one Python test per lag, smallest lag first. The closure defect is the
+    matching lag's distance: the image of the cycle's last state is the new
+    iterate."""
+    mr, mat, dist = _real_form(m, x.shape[0])
+    c = _coordinates(x)
+    window = [c]          # x_0 .. x_{n-1}, trimmed to _CYCLE_WINDOW entries
+    motions = [np.inf]    # Frobenius ||x_k - x_{k-1}||, aligned with window
+    tol = cfg.tol
+
+    for n in range(1, cfg.max_iter + 1):
+        c_new = mr @ c
+        d1_fro = float(np.linalg.norm(c_new - c))
+
+        # Fixed point: trace distance between successive iterates below tol.
+        if 0.5 * d1_fro < tol and dist(c_new - c) < tol:
+            return IterationOutcome("converged", mat(c_new), n, dist(mr @ c_new - c_new))
+
+        # Cycle scan over lags 2..window, smallest lag wins.
+        if 0.5 * d1_fro >= _CYCLE_GUARD * tol and len(window) >= 2:
+            fro = np.linalg.norm(np.stack(window) - c_new, axis=1)
+            for lag in range(2, len(window) + 1):
+                k = len(window) - lag  # window[k] is x_{n-lag}
+                if 0.5 * fro[k] >= tol:
+                    continue
+                defect = dist(c_new - window[k])
+                if defect >= tol:
+                    continue
+                prev_motion = motions[k]
+                if not np.isfinite(prev_motion) or prev_motion <= 0:
+                    continue  # not enough history; keep iterating
+                if d1_fro / prev_motion < _CYCLE_DECAY_MIN:
+                    continue  # motion is decaying: converging, not cycling
+                cycle = window[k:]
+                return IterationOutcome("cycle", mat(np.mean(cycle, axis=0)), n, defect,
+                                        tuple(mat(y) for y in cycle))
+
+        window.append(c_new)
+        motions.append(d1_fro)
+        if len(window) > _CYCLE_WINDOW:
+            window.pop(0)
+            motions.pop(0)
+        c = c_new
+
+    return IterationOutcome("exhausted", mat(c), cfg.max_iter, dist(mr @ c - c))
+
+
+def _complex_scan(m, x, cfg):
+    """The cycle scan as the engine ran it on complex vecs, one complex
+    matvec and one Hermitization per step, over a list window."""
     d = x.shape[0]
 
     def step(y):
@@ -786,6 +890,28 @@ def test_cycle_scan_prefers_the_smallest_lag():
                          [np.zeros((3, 1)), bloch]]) @ np.linalg.inv(vecs)
     r0 = a * flip_a + b
     x0 = 0.5 * sigma[0] + sum(c * s for c, s in zip(r0, sigma[1:]))
-    out = engines._run_orbit(m, np.array([0, 2, 1, 3]), x0, cfg)
+    basis, mr = engines._real_map(m)
+    out = engines._run_orbit(mr, basis, _coordinates(x0), cfg)
     assert (out.status, out.steps, out.period) == ("cycle", 5, 2)
     assert _same_outcome(out, _reference_scan(m, x0, cfg))
+
+
+@pytest.mark.slow
+def test_cycle_scan_matches_the_complex_scan():
+    """4,400 noiseless orbits (u1 and u2, both CR families, 11 values of s,
+    100 starts, 2000 steps) in real Hermitian-basis coordinates against the
+    complex-vec scan they replaced: the same status, step count and period,
+    and the same entropy within 1e-12 bits."""
+    cfg = EngineConfig(max_iter=2000)
+    starts = [random_density(4, 7000 + i) for i in range(100)]
+    for name in ("u1", "u2"):
+        for cr in (cr_mixed, cr_pure):
+            for s in [round(0.1 * i, 10) for i in range(11)]:
+                sys = gallery()[name].system(rho_cr=cr(s))
+                m = superoperator(sys, include_noise=True)
+                for tau0, out in zip(starts, ralph_iterate_many(sys, starts, cfg)):
+                    ref = _complex_scan(m, _sym(tau0), cfg)
+                    assert (out.status, out.steps, out.period) == \
+                        (ref.status, ref.steps, ref.period)
+                    assert abs(von_neumann_entropy(out.state)
+                               - von_neumann_entropy(ref.state)) < 1e-12
