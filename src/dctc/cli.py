@@ -27,7 +27,7 @@ import numpy as np
 from .channels import (channel_distance, choi_matrix,
                        kraus_commutator_residual, kraus_completeness_defect,
                        kraus_from_choi, superoperator_from_kraus)
-from .engines import (ConvergenceError, consistency_residual, fixed_subspace,
+from .engines import (ConvergenceError, _coords, consistency_residual, fixed_subspace,
                       limit_superoperator, ralph_iterate)
 from .experiments import (Fig2Config, Fig3Config, RunRecord, RunRow,
                           _bistable_section, _cycle_section, _kraus_section,
@@ -36,7 +36,7 @@ from .experiments import (Fig2Config, Fig3Config, RunRecord, RunRow,
                           write_csv, write_manifest)
 from .gallery import gallery, limit_kraus_ops
 from .maxent import max_entropy_fixed_state
-from .qmat import maximally_mixed, von_neumann_entropy
+from .qmat import hermitian_basis, maximally_mixed, von_neumann_entropy
 
 DEMO_NAMES = ("u1-cycle", "u2-bistable", "kraus-refutation")
 _JOBS_HELP = ("thread count, to check that the output does not depend on it; "
@@ -369,13 +369,11 @@ def _rref(mat, tol=1e-9):
 def _diag_family_description(basis, d: int) -> str:
     """Symbolic form of the diagonal slice of the fixed span, as in
     ``diag(a, 0, b, b)``; empty slice reported in words."""
-    # residual of each diagonal unit after projection onto the span; the
-    # basis is orthonormal (a FixedSubspace basis), so it projects as is
-    vecs = np.array([np.asarray(b, dtype=complex).reshape(-1) for b in basis])
-    units = np.eye(d * d, dtype=complex)[:, ::d + 1]
-    resid = units - vecs.T @ (vecs.conj() @ units)
-    a = np.concatenate([resid.real, resid.imag])  # combinations x with a @ x = 0 lie in the span
-    _, sv, vt = np.linalg.svd(a)
+    # residual of each E_jj (the coordinate vector e_j) after projection onto
+    # the orthonormal span; combinations x with resid @ x = 0 lie in it
+    rows = _coords(hermitian_basis(d), np.array(basis))
+    resid = np.eye(d * d)[:, :d] - rows.T @ rows[:, :d]
+    _, sv, vt = np.linalg.svd(resid)
     null = vt[np.sum(sv > 1e-9):]
     if null.size == 0:
         return "no diagonal operators in the fixed span"

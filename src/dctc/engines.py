@@ -143,8 +143,9 @@ def _real_map(m: np.ndarray):
 
 
 def _coords(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Real coordinates ``Re(B^H vec(x))`` of the Hermitian part of ``x``."""
-    return (basis.conj().T @ x.reshape(-1, order="F")).real
+    """Real coordinates ``Re(B^H vec(x))`` of the Hermitian part of ``x``;
+    a stack (n, d, d) gives them as the rows of an (n, d*d) array."""
+    return (x.swapaxes(-1, -2).reshape(*x.shape[:-2], len(basis)) @ basis.conj()).real
 
 
 def _states(basis: np.ndarray, cs: np.ndarray) -> np.ndarray:

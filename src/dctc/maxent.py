@@ -1,21 +1,24 @@
 """Entropy maximization over the consistent-state set.
 
 The consistent CV states of a noiseless system form the density-matrix
-slice of an affine space: anchor + (traceless directions inside the fixed
-operator span). The anchor is ``deutsch_cesaro`` from the maximally mixed
-state, which is ``P(I)/d`` for the loop map's ergodic projector ``P``.
-Every consistent state lies in that anchor's support (``rho <= I`` gives
-``rho = P(rho) <= P(I)``), and there the entropy maximizer has full rank.
-``max_entropy_fixed_state`` therefore compresses the directions to the
-support and runs projected gradient ascent on the von Neumann entropy,
-which is concave, so the ascent finds the selection rule's unique answer.
-Every accepted iterate is positive definite on the support, so no
-regularizer is needed to keep the gradient finite.
+slice of an affine space: the anchor ``P(I)/d`` (``deutsch_cesaro`` from
+the maximally mixed state, ``P`` the loop map's ergodic projector) plus
+the traceless operators of the fixed span. Every consistent state lies in
+the anchor's support (``rho <= I`` gives ``rho = P(rho) <= P(I)``), and so
+does the whole span, since every Hermitian fixed operator is a difference
+of fixed states; compressing the span to the support is an isometry.
+There the entropy maximizer has full rank. ``max_entropy_fixed_state``
+runs projected gradient ascent on the von Neumann entropy, which is
+concave, so it finds the selection rule's unique answer; every accepted
+iterate is positive definite on the support, so the gradient stays finite.
 
-Directions are the traceless subspace of the fixed span (null space
-of the trace functional over basis coefficients); projecting per-element
-traceless parts instead would step outside the fixed set whenever the
-identity operator is not itself fixed.
+All of it runs on real coordinates in ``qmat.hermitian_basis``. The fixed
+span is the right kernel ``R`` of ``engines._fixed_kernels``. The trace is
+the sum of the first ``d`` coordinates (those of the ``E_jj``), so the
+directions are ``R`` times the null space of that row (per-element
+traceless parts would leave the fixed set when ``I`` is not fixed).
+Compressed directions that are not orthonormal within 1e-6 raise
+``ConvergenceError``: the support was cut too small.
 """
 
 from __future__ import annotations
@@ -24,18 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engines import (
-    ConvergenceError,
-    FixedSubspace,
-    _coords,
-    _fixed_kernels,
-    _residuals,
-    _states,
-)
+from .engines import ConvergenceError, _coords, _fixed_kernels, _residuals, _states
 from .channels import CtcSystem
-from .qmat import ENTROPY_CLAMP, check_density, hermitian_span, maximally_mixed, _as_square
-
-_LOG2 = np.log(2.0)
+from .qmat import (ENTROPY_CLAMP, _as_square, _entropy_bits, check_density, hermitian_basis,
+                   maximally_mixed)
 
 GRAD_TOL = 1e-8
 MAX_ASCENT_ITER = 10000
@@ -78,31 +73,20 @@ def entropy_gradient(rho) -> np.ndarray:
     if w.min() <= 1e-13:
         raise ValueError(
             f"entropy gradient needs a strictly positive state (min eigenvalue {w.min():.3e})")
-    g = v @ np.diag(-(np.log(w) / _LOG2 + 1.0 / _LOG2)) @ v.conj().T
+    g = v @ np.diag(-(np.log(w) + 1.0) / np.log(2.0)) @ v.conj().T
     return 0.5 * (g + g.conj().T)
 
 
-def _trace_zero_directions(subspace: FixedSubspace) -> np.ndarray:
-    """Orthonormal basis of the traceless subspace of the fixed span, shape
-    ``(k, d, d)``.
-
-    The combinations are orthonormal as they stand: orthonormal coefficient
-    rows over the orthonormal ``FixedSubspace`` basis.
-    """
-    basis = np.array(subspace.basis)
-    traces = np.real(np.trace(basis, axis1=1, axis2=2))
-    if np.abs(traces).max() < 1e-12:
-        coeff_rows = np.eye(len(basis))
-    else:
-        # Null space of the 1 x m trace functional.
-        coeff_rows = np.linalg.svd(traces.reshape(1, -1))[2][1:]
-    return np.tensordot(coeff_rows, basis, axes=1)
-
-
-def _project(h: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Hilbert-Schmidt orthogonal projection onto orthonormal Hermitian ``dirs``."""
-    coeffs = np.real(np.einsum("kij,ij->k", dirs.conj(), h))
-    return np.tensordot(coeffs, dirs, axes=1)
+def _support_directions(basis: np.ndarray, r: np.ndarray, v: np.ndarray):
+    """The traceless operators ``R`` spans, compressed to the support ``v``
+    (d, k), as coordinate rows in ``hermitian_basis(k)``; ``basis`` and
+    ``R`` are ``_fixed_kernels``'. Rows that are not orthonormal within
+    1e-6 raise ``ConvergenceError``."""
+    null = np.linalg.svd(r[:len(v)].sum(0)[None])[2][1:]
+    dirs = _coords(hermitian_basis(v.shape[1]), v.conj().T @ _states(basis, null @ r.T) @ v)
+    if np.abs(dirs @ dirs.T - np.eye(len(dirs))).max(initial=0.0) > 1e-6:
+        raise ConvergenceError("fixed span leaves the anchor's support")
+    return dirs
 
 
 def max_entropy_fixed_state(sys: CtcSystem) -> MaxEntResult:
@@ -119,7 +103,10 @@ def max_entropy_fixed_state(sys: CtcSystem) -> MaxEntResult:
     falls below ``GRAD_TOL`` (``converged``), or unconverged after
     ``MAX_ASCENT_ITER`` steps or a failed line search. The anchor,
     its consistency check and the fixed span all use one SVD of ``M - Id``
-    in real Hermitian-basis coordinates.
+    in real Hermitian-basis coordinates. Raises ``ConvergenceError`` when
+    the anchor is not consistent within 1e-6 or the fixed span leaves its
+    support. A pure answer reads exactly ``+0.0``, as in
+    ``von_neumann_entropy``.
     """
     basis, mr, r, proj = _fixed_kernels(sys)
     c = (proj @ _coords(basis, maximally_mixed(sys.d_cv)))[None]
@@ -129,21 +116,18 @@ def max_entropy_fixed_state(sys: CtcSystem) -> MaxEntResult:
 
     # The anchor in its own eigenbasis, restricted to its support ``v``.
     w, v = np.linalg.eigh(anchor)
+    entropy = _entropy_bits(w)
     w, v = w[w > ENTROPY_CLAMP], v[:, w > ENTROPY_CLAMP]
     tau = np.diag(w).astype(complex)
-    entropy = float(-(w @ np.log2(w)))
-    span = FixedSubspace(tuple(_states(basis, r.T)))
-    dirs = v.conj().T @ _trace_zero_directions(span) @ v
-    if len(dirs):
-        dirs = hermitian_span(dirs)
+    sub, dirs = hermitian_basis(len(w)), _support_directions(basis, r, v)
 
     kkt = 0.0
     iterations = 0
     converged = False
     step = None  # the last step taken and the projected gradient it started from
     for iterations in range(1, MAX_ASCENT_ITER + 1):
-        gp = _project(entropy_gradient(tau), dirs)
-        kkt = float(np.linalg.norm(gp))
+        g = dirs.T @ (dirs @ _coords(sub, entropy_gradient(tau)))
+        kkt = float(np.linalg.norm(g))
         if kkt < GRAD_TOL:
             iterations -= 1
             converged = True
@@ -154,22 +138,22 @@ def max_entropy_fixed_state(sys: CtcSystem) -> MaxEntResult:
         alpha = 1.0
         if step is not None:
             s, g0 = step
-            sy = np.vdot(s, g0 - gp).real
+            sy = s @ (g0 - g)
             if sy > 0.0:
-                alpha = np.vdot(s, s).real / sy
+                alpha = (s @ s) / sy
+        gm = _states(sub, g[None])[0]
         while alpha > 1e-18:
-            wc = np.linalg.eigvalsh(tau + alpha * gp)
+            wc = np.linalg.eigvalsh(tau + alpha * gm)
             if wc.min() > ENTROPY_CLAMP:
-                sc = float(-(wc @ np.log2(wc)))
+                sc = _entropy_bits(wc)
                 if sc >= entropy + _ARMIJO * alpha * kkt * kkt:
                     break
             alpha *= 0.5
         else:
             break
-        step = (alpha * gp, gp)
-        tau, entropy = tau + alpha * gp, sc
+        step = (alpha * g, g)
+        tau, entropy = tau + alpha * gm, sc
 
     state = v @ tau @ v.conj().T
-    return MaxEntResult(0.5 * (state + state.conj().T),
-                        0.0 if entropy <= 0.0 else entropy, iterations, kkt, converged,
+    return MaxEntResult(0.5 * (state + state.conj().T), entropy, iterations, kkt, converged,
                         r.shape[1], anchor)

@@ -14,6 +14,7 @@ wrapped in classes. Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,6 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 UNITARY_TOL = 1e-10
 ENTROPY_CLAMP = 1e-12
-SPAN_TOL = 1e-10
 
 _LOG2 = np.log(2.0)
 
@@ -167,9 +167,9 @@ def partial_trace(m, split: DimSplit, keep: str = "cv") -> np.ndarray:
 def von_neumann_entropy(rho) -> float:
     """Von Neumann entropy in bits, ``-sum(lam * log2(lam))``.
 
-    Eigenvalues below the clamp threshold ``1e-12`` are treated as zero,
-    and a sum at or below zero (a pure state, whose eigenvalue may round to
-    ``1 + 2.2e-16``) is reported as ``+0.0``. The input must pass
+    Eigenvalues at or below the clamp ``1e-12`` count as zero. A pure state,
+    with one eigenvalue left (1, ``1 - 1.1e-16`` or ``1 + 2.2e-16``), and a
+    sum at or below zero read exactly ``+0.0``. The input must pass
     ``check_density``, whose spectrum the entropy reuses.
     """
     return _entropy_bits(_checked_spectrum(rho)[1])
@@ -178,6 +178,8 @@ def von_neumann_entropy(rho) -> float:
 def _entropy_bits(w) -> float:
     """``von_neumann_entropy`` of a state from its spectrum ``w``."""
     w = w[w > ENTROPY_CLAMP]
+    if len(w) <= 1:
+        return 0.0
     s = float(-(w * np.log(w)).sum() / _LOG2)
     return 0.0 if s <= 0.0 else s
 
@@ -198,25 +200,7 @@ def trace_distance(a, b):
     return float(dist) if dist.ndim == 0 else dist
 
 
-def hermitian_span(mats) -> np.ndarray:
-    """Orthonormal basis of the real span of Hermitian matrices.
-
-    Orthonormal in the Hilbert-Schmidt inner product, which is real on
-    Hermitian matrices and so equals the Euclidean one on the stacked real
-    and imaginary parts of the flattened matrices; the basis is the right
-    singular vectors of that stack with singular value above ``SPAN_TOL``.
-    Returns an array of shape ``(k, d, d)``.
-    """
-    a = np.asarray(mats, dtype=complex)
-    flat = a.reshape(len(a), -1)
-    n = flat.shape[1]
-    _, s, vt = np.linalg.svd(np.concatenate([flat.real, flat.imag], axis=1),
-                             full_matrices=False)
-    rows = vt[s > SPAN_TOL]
-    basis = (rows[:, :n] + 1j * rows[:, n:]).reshape(-1, *a.shape[1:])
-    return 0.5 * (basis + basis.conj().transpose(0, 2, 1))
-
-
+@functools.cache
 def hermitian_basis(d: int) -> np.ndarray:
     """Orthonormal Hermitian basis of the ``d x d`` operators as the
     unitary ``(d*d, d*d)`` matrix ``B`` of the column-stacked vecs of
@@ -224,12 +208,14 @@ def hermitian_basis(d: int) -> np.ndarray:
     sqrt(2)`` for ``j < k``. A Hermitian ``X`` has the real coordinates
     ``B^H vec(X)``, and ``B c`` of a real ``c`` is exactly Hermitian: the
     real and imaginary parts of each entry are one product each, and the
-    entries at ``jk`` and ``kj`` are conjugates.
+    entries at ``jk`` and ``kj`` are conjugates. Cached per ``d``, read-only.
     """
     u = np.eye(d * d).reshape(d, d, d * d)  # u[k, j] = vec(E_jk)
     (j, k), r = np.triu_indices(d, 1), np.sqrt(0.5)
     cols = [u[range(d), range(d)], r * (u[k, j] + u[j, k]), 1j * r * (u[k, j] - u[j, k])]
-    return np.concatenate(cols).T
+    b = np.concatenate(cols).T
+    b.flags.writeable = False
+    return b
 
 
 def random_density(dim: int, seed: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 
 import numpy as np
@@ -6,12 +7,16 @@ import pytest
 
 from dctc import maxent
 from dctc.channels import CtcSystem
-from dctc.engines import consistency_residual, deutsch_cesaro, fixed_subspace
+from dctc.engines import (ConvergenceError, _coords, _fixed_kernels, consistency_residual,
+                          deutsch_cesaro, fixed_subspace)
+from dctc.experiments import _DEFAULT_GRID, _cr_pair
 from dctc.gallery import cr_eps, gallery
-from dctc.maxent import (GRAD_TOL, _project, _trace_zero_directions, entropy_gradient,
+from dctc.maxent import (GRAD_TOL, _support_directions, entropy_gradient,
                          max_entropy_fixed_state)
 from dctc.qmat import (
+    ENTROPY_CLAMP,
     DimSplit,
+    hermitian_basis,
     maximally_mixed,
     random_density,
     von_neumann_entropy,
@@ -187,23 +192,63 @@ def test_entropy_increases_toward_the_flat_state():
 
 
 def test_project_affine_behaviour():
-    """Projection onto the traceless fixed directions keeps what lies in
-    them, removes what is orthogonal to them, and is idempotent."""
-    dirs = _trace_zero_directions(fixed_subspace(gallery()["u2"].system()))
-    inside = np.diag([-1.0, 0.0, 0.5, 0.5]).astype(complex)
-    assert np.abs(_project(inside, dirs) - inside).max() < 1e-8
-    # orthogonal to every traceless fixed direction: level-1 population
-    # alone, and a coherence the fixed family never contains
-    for outside in (np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex),
-                    np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0],
-                              [0, 0, 0, 0]], dtype=complex)):
-        assert np.abs(_project(outside, dirs)).max() < 1e-8
+    """Projection onto the traceless fixed directions, on the coordinates of
+    the anchor's support, keeps what lies in them, removes what is
+    orthogonal to them, and is idempotent."""
+    sys = gallery()["u2"].system()
+    basis, _, r, _ = _fixed_kernels(sys)
+    w, v = np.linalg.eigh(max_entropy_fixed_state(sys).anchor)
+    v = v[:, w > ENTROPY_CLAMP]
+    sub, dirs = hermitian_basis(3), _support_directions(basis, r, v)
+    assert dirs.shape == (2, 9)
+
+    def project(x):
+        return dirs.T @ (dirs @ x)
+
+    def compressed(h):
+        return _coords(sub, v.conj().T @ h @ v)
+
+    e = np.eye(4)
+    for inside in (np.diag([-1.0, 0.0, 0.5, 0.5]), e[[2]].T @ e[[3]] + e[[3]].T @ e[[2]]):
+        x = compressed(inside.astype(complex))
+        assert np.abs(project(x) - x).max() < 1e-8
+    # orthogonal to every traceless fixed direction: the identity on the
+    # support, and coherences the fixed family never contains
+    for outside in (np.diag([1.0, 0.0, 1.0, 1.0]), e[[0]].T @ e[[2]] + e[[2]].T @ e[[0]],
+                    1j * (e[[2]].T @ e[[3]] - e[[3]].T @ e[[2]])):
+        assert np.abs(project(compressed(outside.astype(complex)))).max() < 1e-8
     rng = np.random.default_rng(9)
     for _ in range(10):
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        h = 0.5 * (a + a.conj().T)
-        once = _project(h, dirs)
-        assert np.abs(_project(once, dirs) - once).max() < 1e-12
+        once = project(rng.standard_normal(9))
+        assert np.abs(project(once) - once).max() < 1e-12
+
+
+def test_max_entropy_rejects_a_span_outside_the_support(monkeypatch):
+    """A support cut too small (the clamp raised past two of u2's anchor
+    eigenvalues 1/4) loses the fixed directions' norm under compression;
+    the solve raises instead of ascending the wrong set (it read 0.531 bits,
+    "converged", against log2 3)."""
+    monkeypatch.setattr(maxent, "ENTROPY_CLAMP", 0.3)
+    with pytest.raises(ConvergenceError, match="leaves the anchor's support"):
+        max_entropy_fixed_state(gallery()["u2"].system())
+
+
+@pytest.mark.parametrize("family", ["mixed", "pure"])
+def test_max_entropy_reads_a_pure_answer_as_zero(family):
+    """Every Deutsch-grid cell whose anchor has rank 1 has a single
+    consistent state, which is pure: its entropy is exactly +0.0, also when
+    the anchor's eigenvalue rounds below 1 (u3 at (0.3, 0) and (1, 1) read
+    1.6e-16 bits)."""
+    pure = 0
+    u3 = gallery()["u3"]
+    for ea in _DEFAULT_GRID:
+        for eb in _DEFAULT_GRID:
+            res = max_entropy_fixed_state(u3.system(rho_cr=_cr_pair(family, ea, eb)))
+            if (np.linalg.eigvalsh(res.anchor) > ENTROPY_CLAMP).sum() == 1:
+                pure += 1
+                assert res.entropy_bits == 0.0, (ea, eb)
+                assert math.copysign(1.0, res.entropy_bits) == 1.0
+    assert pure >= 11  # the eps_b = 0 row past eps_a = 0, and (1, 1)
 
 
 def test_max_entropy_builds_the_loop_map_once(superop_builds):

@@ -111,10 +111,11 @@ def test_entropy_clamps_tiny_negative_eigenvalues():
     s = von_neumann_entropy(rho)
     assert np.isfinite(s)
     assert abs(s) < 1e-8
-    # a pure state reads +0.0, also when its eigenvalue rounds above 1
-    for top in (1.0 + 2.0 ** -52, 1.0):
+    # a pure state reads exactly +0.0, also when its eigenvalue rounds
+    # above or below 1
+    for top in (1.0 + 2.0 ** -52, 1.0, 1.0 - 2.0 ** -53):
         s = von_neumann_entropy(np.diag([top, 0.0]).astype(complex))
-        assert s >= 0.0
+        assert s == 0.0
         assert math.copysign(1.0, s) == 1.0
 
 
@@ -129,10 +130,13 @@ def test_entropy_unitary_invariance():
 
 def _two_pass_entropy(rho):
     """Reference: the entropy from a second ``eigvalsh`` after
-    ``check_density``, in bits, clamped and with a sum <= 0 read as +0.0."""
+    ``check_density``, in bits, clamped, with a state of at most one
+    eigenvalue left (pure) or a sum <= 0 read as +0.0."""
     a = check_density(rho)
     w = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
     w = w[w > 1e-12]
+    if len(w) <= 1:
+        return 0.0
     s = float(-(w * np.log(w)).sum() / np.log(2.0))
     return 0.0 if s <= 0.0 else s
 
@@ -152,7 +156,7 @@ def test_entropy_bits_match_the_two_pass_formula():
     assert any(np.linalg.eigvalsh(0.5 * (r + r.conj().T)).max() > 1.0 for r in pure)
     clamped = [np.diag(w).astype(complex) for w in
                ([1.0 + 5e-11, 0.0, -5e-11, 0.0], [1.0 - 1e-13, 1e-13],
-                [0.5, 0.5 - 2e-12, 2e-12], [1.0 + 2.0 ** -52, 0.0])]
+                [0.5, 0.5 - 2e-12, 2e-12], [1.0 + 2.0 ** -52, 0.0], [1.0 - 2.0 ** -53, 0.0])]
     noisy = [random_density(dim, seed) for dim in (2, 3, 4, 6) for seed in range(25)]
     for rho in pure + clamped + noisy:
         s = von_neumann_entropy(rho)
