@@ -29,12 +29,6 @@ from .qmat import (
 
 KRAUS_EIG_CUTOFF = 1e-10
 
-# ``loop_maps``' einsum order (the CR inputs into u, then the conjugate): what
-# ``optimize=True`` plans for one CR input of the gallery and all CR, CV
-# dimensions 1 to 8. For a stack the planner may pick another order, which
-# changes bits; this one gives every map of a stack its lone call's bits.
-_SUPEROP_PATH = ["einsum_path", (0, 1), (0, 1)]
-
 
 @dataclass(frozen=True)
 class CtcSystem:
@@ -157,13 +151,16 @@ def loop_maps(sys: CtcSystem, rho_crs) -> np.ndarray:
 
     With ``u`` indexed as ``u[a, b, c, e]`` (output CR, output CV, input CR,
     input CV), entry ``[k, b + d*b', e + d*e']`` is
-    ``sum_{a,c,f} u[a,b,c,e] rho_crs[k,c,f] conj(u[a,b',f,e'])``, one
-    einsum for the whole stack.
+    ``sum_{a,c,f} u[a,b,c,e] rho_crs[k,c,f] conj(u[a,b',f,e'])``: two
+    batched matrix products, the ones numpy's planned einsum of one CR input
+    runs, so every map of a stack has that einsum's and its lone call's bits.
     """
     d_cr, d = sys.split.d_cr, sys.d_cv
     u = sys.u.reshape(d_cr, d, d_cr, d)
-    return np.einsum("abce,ncf,agfh->ngbhe", u, rho_crs, u.conj(),
-                     optimize=_SUPEROP_PATH).reshape(-1, d * d, d * d)
+    t = rho_crs.swapaxes(-1, -2) @ u.transpose(2, 0, 1, 3).reshape(d_cr, -1)  # [k, f, (a, b, e)]
+    t = t.reshape(-1, d_cr, d_cr, d * d).transpose(0, 3, 2, 1).reshape(-1, d * d, d_cr * d_cr)
+    out = t @ u.conj().transpose(0, 2, 1, 3).reshape(d_cr * d_cr, d * d)  # [k, (b, e), (b', e')]
+    return out.reshape(-1, d, d, d, d).transpose(0, 3, 1, 4, 2).reshape(-1, d * d, d * d)
 
 
 def apply_superoperator(m, mat) -> np.ndarray:
@@ -204,7 +201,11 @@ def kraus_from_choi(c) -> list[np.ndarray]:
 
     Eigenvalues below ``KRAUS_EIG_CUTOFF`` are dropped; an eigenvalue below
     ``-1e-9 * max(1, largest eigenvalue)`` (not completely positive) raises
-    ``ValueError``.
+    ``ValueError``. Eigenvalues within 1e-8 of their neighbour form a
+    cluster, whose operators are ``C^{1/2} q_i``: ``C`` the Choi matrix on
+    the cluster, ``q_i`` the Gram-Schmidt of the cluster projector's columns
+    in index order. So the set does not rotate within a degenerate
+    eigenspace when ``c`` changes in its last bits.
     """
     a = _as_square(c, "Choi matrix")
     if np.abs(a - a.conj().T).max() > 1e-8:
@@ -215,10 +216,18 @@ def kraus_from_choi(c) -> list[np.ndarray]:
     w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
     if w.min() < -1e-9 * max(1.0, w.max()):
         raise ValueError(f"Choi matrix is not PSD (eigenvalue {w.min():.3e})")
+    w, v = w[w > KRAUS_EIG_CUTOFF], v[:, w > KRAUS_EIG_CUTOFF]
     ops = []
-    for k in range(w.size):
-        if w[k] > KRAUS_EIG_CUTOFF:
-            ops.append(np.sqrt(w[k]) * v[:, k].reshape(d, d).T)
+    for cluster in np.split(np.arange(w.size), np.flatnonzero(np.diff(w) > 1e-8) + 1):
+        vc = v[:, cluster]
+        proj, root = vc @ vc.conj().T, (vc * np.sqrt(w[cluster])) @ vc.conj().T
+        for j in range(len(proj)):
+            # Column j of the residual projector has squared norm proj[j, j];
+            # a rank-r one has an entry of r / len(proj) or more, so r are taken.
+            if proj[j, j].real > 0.5 / len(proj):
+                q = proj[:, j] / np.sqrt(proj[j, j].real)
+                proj = proj - np.outer(q, q.conj())
+                ops.append((root @ q).reshape(d, d).T)
     if not ops:
         raise ValueError("no Kraus operators above the eigenvalue cutoff")
     return ops

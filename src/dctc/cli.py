@@ -24,19 +24,17 @@ import time
 
 import numpy as np
 
-from .channels import (channel_distance, choi_matrix,
-                       kraus_commutator_residual, kraus_completeness_defect,
-                       kraus_from_choi, superoperator_from_kraus)
-from .engines import (ConvergenceError, _coords, consistency_residual, fixed_subspace,
+from .channels import choi_matrix, kraus_completeness_defect, kraus_from_choi
+from .engines import (ConvergenceError, consistency_residual, fixed_subspace,
                       limit_superoperator, ralph_iterate)
 from .experiments import (Fig2Config, Fig3Config, RunRecord, RunRow,
                           _bistable_section, _cycle_section, _kraus_section,
-                          _mat_json, _write_json, continuity_metric,
-                          derive_seed, deutsch_rule_grid, run_fig2, run_fig3,
-                          write_csv, write_manifest)
-from .gallery import gallery, limit_kraus_ops
+                          _mat_json, _reference_comparison, _write_json,
+                          continuity_metric, derive_seed, deutsch_rule_grid,
+                          run_fig2, run_fig3, write_csv, write_manifest)
+from .gallery import gallery
 from .maxent import max_entropy_fixed_state
-from .qmat import hermitian_basis, maximally_mixed, von_neumann_entropy
+from .qmat import _coords, maximally_mixed, von_neumann_entropy
 
 DEMO_NAMES = ("u1-cycle", "u2-bistable", "kraus-refutation")
 _JOBS_HELP = ("thread count, to check that the output does not depend on it; "
@@ -366,12 +364,13 @@ def _rref(mat, tol=1e-9):
     return a
 
 
-def _diag_family_description(basis, d: int) -> str:
-    """Symbolic form of the diagonal slice of the fixed span, as in
-    ``diag(a, 0, b, b)``; empty slice reported in words."""
+def _diag_family_description(span) -> str:
+    """Symbolic form of the diagonal slice of the fixed span, whose
+    orthonormal operators are ``span``, as in ``diag(a, 0, b, b)``; an
+    empty slice is reported in words."""
     # residual of each E_jj (the coordinate vector e_j) after projection onto
     # the orthonormal span; combinations x with resid @ x = 0 lie in it
-    rows = _coords(hermitian_basis(d), np.array(basis))
+    rows, d = _coords(np.array(span)), len(span[0])
     resid = np.eye(d * d)[:, :d] - rows.T @ rows[:, :d]
     _, sv, vt = np.linalg.svd(resid)
     null = vt[np.sum(sv > 1e-9):]
@@ -403,8 +402,7 @@ def _cmd_fixedpoints(args) -> int:
     t0 = time.monotonic()
     sysdef = gallery()[args.system]
     fs = fixed_subspace(sysdef.system())
-    d = sysdef.split.d_cv
-    desc = _diag_family_description(fs.basis, d)
+    desc = _diag_family_description(fs.basis)
     print(f"fixed-operator subspace of {args.system}: dimension {fs.dim}")
     print(f"diagonal slice: {desc}")
     for k, b in enumerate(fs.basis):
@@ -433,11 +431,8 @@ def _cmd_kraus(args) -> int:
            "completeness_defect": kraus_completeness_defect(ops),
            "operators": [_mat_json(e) for e in ops]}
     if args.system == "u2":
-        ref = limit_kraus_ops()
-        doc["channel_distance_to_reference"] = channel_distance(
-            lim, superoperator_from_kraus(ref))
-        doc["reference_commutator_residual"] = kraus_commutator_residual(
-            ref, maximally_mixed(4))
+        (doc["channel_distance_to_reference"],
+         doc["reference_commutator_residual"]) = _reference_comparison(lim)
         print(f"channel distance to the reference operator set: "
               f"{doc['channel_distance_to_reference']:.3e}")
         print(f"reference-set commutator residual at the maximally mixed "

@@ -17,18 +17,16 @@ in the closed-timelike-curve literature:
   the average's limit equals the orbit limit: this picture is
   ``ralph_iterate`` restricted to ``p > 0``.
 * ``ralph_iterate`` / ``ralph_closed_form``: direct iteration of the noisy
-  map, and the same fixed point from one linear solve of
-  ``(Id - (1-p) M) vec(tau) = p vec(I/d)``; ``closed_forms`` solves a
-  stack of CR inputs at once, and ``ralph_closed_form`` is its one-system
-  call.
+  map, and the same fixed point from one linear solve; ``closed_forms``
+  solves a stack of CR inputs at once, and ``ralph_closed_form`` is its
+  one-system call.
 
-The orbits and the projector read ``M`` in one real form, from
-``_real_map``: the operators ``B c`` of the orthonormal Hermitian basis
-``B = qmat.hermitian_basis(d)`` with real coordinates ``c``, on which the
-map is the real matrix ``Re(B^H M B)``. ``B c`` is exactly Hermitian for
-every real ``c``, so no step Hermitizes, and a map that does not preserve
-Hermiticity raises ``ValueError``. The SVD, the kernels and ``P`` above are
-those of ``Re(B^H M B) - Id``.
+Every view reads ``M`` as the real matrix ``mr = Re(B^H M B)`` on the real
+coordinates of the operators, ``qmat``'s coordinate map: the orbits step
+``mr``, the SVD, kernels and ``P`` above are those of ``mr - Id``, and the
+closed form solves ``(Id - (1-p) mr) c = p coords(I/d)``. The operator of
+real coordinates is exactly Hermitian, so nothing here Hermitizes or holds
+a basis, and a map that does not preserve Hermiticity raises ``ValueError``.
 
 ``ralph_iterate_many`` is the one orbit entry point (``ralph_iterate`` is
 its one-start call). It builds the loop map once per call and drives
@@ -42,10 +40,9 @@ every start with it:
   orbit that is merely converging (a negative real eigenvalue of the map)
   would be misreported as a period-2 cycle. Guards use Frobenius norms;
   the match itself uses trace distance. The window of the last
-  ``_CYCLE_WINDOW`` states is a sliding view of a buffer twice that size,
-  allocated per call; one numpy pass gives the Frobenius distance from the
-  new iterate to every entry, and only lags within ``tol`` in that norm
-  (a necessary condition) are checked further, smallest lag first.
+  ``_CYCLE_WINDOW`` states slides in a buffer twice that size; only lags
+  within ``tol`` in Frobenius norm (a necessary condition) are checked
+  further, smallest lag first.
 * at p > 0, the contraction: every start advances together, one stacked
   real matvec per step and up to ``_NOISY_BLOCK`` steps per Python round
   trip, with one stop test per block and no cycle scan (a strict
@@ -60,8 +57,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import CtcSystem, _cv_state, cv_map, loop_maps, superoperator, vec
-from .qmat import PSD_TOL, _checked_spectrum, hermitian_basis, maximally_mixed, trace_distance
+from .channels import CtcSystem, _cv_state, cv_map, loop_maps, superoperator
+from .qmat import (PSD_TOL, _checked_spectrum, _coords, _real_map, _states, _trace_distances,
+                   _vec_map, maximally_mixed, trace_distance)
 
 FIXED_SUBSPACE_SVD_TOL = 1e-8
 _CYCLE_GUARD = 10.0
@@ -126,67 +124,22 @@ class FixedSubspace:
         return len(self.basis)
 
 
-def _sym(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (x + x.conj().T)
-
-
-def _real_map(m: np.ndarray):
-    """The orthonormal Hermitian basis ``B`` of the d x d operators and the
-    loop map ``m`` (a superoperator matrix) on their real coordinates,
-    ``Re(B^H m B)``. Raises ``ValueError`` when the dropped imaginary part
-    exceeds 1e-12: ``m`` then does not preserve Hermiticity."""
-    basis = hermitian_basis(math.isqrt(len(m)))
-    mr = basis.conj().T @ m @ basis
-    if np.abs(mr.imag).max() > 1e-12:
-        raise ValueError("loop map does not preserve Hermiticity")
-    return basis, np.ascontiguousarray(mr.real)
-
-
-def _coords(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Real coordinates ``Re(B^H vec(x))`` of the Hermitian part of ``x``;
-    a stack (n, d, d) gives them as the rows of an (n, d*d) array."""
-    return (x.swapaxes(-1, -2).reshape(*x.shape[:-2], len(basis)) @ basis.conj()).real
-
-
-def _states(basis: np.ndarray, cs: np.ndarray) -> np.ndarray:
-    """The exactly Hermitian operators whose coordinates are the rows of
-    ``cs`` (n, d*d), as an (n, d, d) array."""
-    d = math.isqrt(len(basis))
-    return np.ascontiguousarray((cs @ basis.T).reshape(-1, d, d).swapaxes(1, 2))
-
-
-def _trace_distances(diffs: np.ndarray, d: int) -> np.ndarray:
-    """Half the trace norm of each row of ``diffs`` (shape (c, d*d)), the
-    vec of an exactly Hermitian operator, which Hermitizing changes by no
-    bit: one ``eigvalsh`` over the (c, d, d) stack gives each row the bits
-    ``trace_distance`` gives it against zero."""
-    w = np.linalg.eigvalsh(diffs.reshape(-1, d, d).transpose(0, 2, 1))
-    return 0.5 * np.abs(w).sum(-1)
-
-
-def _residuals(mr: np.ndarray, basis: np.ndarray, cs: np.ndarray) -> np.ndarray:
+def _residuals(mr: np.ndarray, cs: np.ndarray) -> np.ndarray:
     """Trace distance between the image under ``mr`` of each coordinate row
     of ``cs`` (n, d*d) and the row. On the (n, d*d, 1) stack numpy runs one
     matvec per row, so each distance has its lone row's bits."""
-    img = np.matmul(mr, cs[:, :, None])[:, :, 0]
-    return _trace_distances((img - cs) @ basis.T, math.isqrt(len(basis)))
+    return _trace_distances(np.matmul(mr, cs[:, :, None])[:, :, 0] - cs)
 
 
-def _settled(status: str, mr: np.ndarray, basis: np.ndarray, c: np.ndarray,
-             steps: int) -> IterationOutcome:
+def _settled(status: str, mr: np.ndarray, c: np.ndarray, steps: int) -> IterationOutcome:
     """The outcome whose state has the coordinates ``c``, with its residual."""
-    c = c[None]
-    return IterationOutcome(status, _states(basis, c)[0], steps,
-                            float(_residuals(mr, basis, c)[0]))
+    return IterationOutcome(status, _states(c[None])[0], steps, float(_residuals(mr, c[None])[0]))
 
 
-def _run_orbit(mr: np.ndarray, basis: np.ndarray, c: np.ndarray,
-               cfg: EngineConfig) -> IterationOutcome:
-    """Drive the noiseless loop map from the start coordinates ``c`` until
-    fixed point, cycle, or exhaustion; ``basis`` and ``mr`` are
-    ``_real_map``'s. ``basis`` is orthonormal, so Frobenius norms are
-    2-norms of coordinates; trace distances are taken through ``basis``."""
-    d = math.isqrt(len(basis))
+def _run_orbit(mr: np.ndarray, c: np.ndarray, cfg: EngineConfig) -> IterationOutcome:
+    """Drive the noiseless loop map ``mr`` from the start coordinates ``c``
+    until fixed point, cycle, or exhaustion. The basis is orthonormal, so
+    Frobenius norms are 2-norms of coordinates."""
     # The window x_{n-w} .. x_{n-1} (w <= _CYCLE_WINDOW) is the view
     # buf[lo:hi] of a buffer twice its size, so it slides without copying;
     # a full buffer is compacted once every _CYCLE_WINDOW steps. motions[k]
@@ -203,8 +156,8 @@ def _run_orbit(mr: np.ndarray, basis: np.ndarray, c: np.ndarray,
         d1_fro = math.sqrt(diff @ diff)
 
         # Fixed point: trace distance between successive iterates below tol.
-        if 0.5 * d1_fro < tol and _trace_distances(diff[None] @ basis.T, d)[0] < tol:
-            return _settled("converged", mr, basis, c_new, n)
+        if 0.5 * d1_fro < tol and _trace_distances(diff[None])[0] < tol:
+            return _settled("converged", mr, c_new, n)
 
         # Cycle scan over lags 2..w, smallest lag wins: only entries within
         # tol in Frobenius norm can be within tol in trace distance.
@@ -212,7 +165,7 @@ def _run_orbit(mr: np.ndarray, basis: np.ndarray, c: np.ndarray,
             gap = c_new - buf[lo:hi - 1]
             near = (0.5 * np.sqrt(np.add.reduce(gap * gap, axis=1)) < tol).nonzero()[0][::-1]
             if near.size:
-                dists = _trace_distances(gap[near] @ basis.T, d)
+                dists = _trace_distances(gap[near])
                 for k, dist in zip(near + lo, dists):  # buf[k] is x_{n-lag}
                     if dist >= tol:
                         continue
@@ -224,8 +177,8 @@ def _run_orbit(mr: np.ndarray, basis: np.ndarray, c: np.ndarray,
                     # The image of the cycle's last state is x_n, so the
                     # closure defect is this lag's distance.
                     cycle = buf[k:hi]
-                    return IterationOutcome("cycle", _states(basis, cycle.mean(0)[None])[0],
-                                            n, float(dist), tuple(_states(basis, cycle)))
+                    return IterationOutcome("cycle", _states(cycle.mean(0)[None])[0],
+                                            n, float(dist), tuple(_states(cycle)))
 
         if hi == len(buf):
             keep = _CYCLE_WINDOW - 1
@@ -236,7 +189,7 @@ def _run_orbit(mr: np.ndarray, basis: np.ndarray, c: np.ndarray,
         lo = max(lo, hi - _CYCLE_WINDOW)
         c = c_new
 
-    return _settled("exhausted", mr, basis, c, cfg.max_iter)
+    return _settled("exhausted", mr, c, cfg.max_iter)
 
 
 def ralph_iterate_many(sys: CtcSystem, tau0s,
@@ -257,14 +210,14 @@ def ralph_iterate_many(sys: CtcSystem, tau0s,
     ``ValueError``.
     """
     cfg = cfg or EngineConfig()
-    starts = [_sym(_cv_state(sys, t)) for t in tau0s]
+    starts = [_cv_state(sys, t) for t in tau0s]
     if not starts:
         return []
     # the noiseless map at p = 0
-    basis, mr = _real_map(superoperator(sys, include_noise=True))
-    x = np.stack([_coords(basis, t) for t in starts])
+    mr = _real_map(superoperator(sys, include_noise=True))
+    x = _coords(np.stack(starts))
     if sys.p == 0.0:
-        return [_run_orbit(mr, basis, c, cfg) for c in x]
+        return [_run_orbit(mr, c, cfg) for c in x]
     d, tol = sys.d_cv, cfg.tol
     k, dd = len(starts), d * d
     # The block buffer holds nb + 1 iterates of every live column: nb steps
@@ -312,14 +265,14 @@ def ralph_iterate_many(sys: CtcSystem, tau0s,
             ok = f2 < sure_bound
             first = np.where(ok.any(0), ok.argmax(0), b)  # each column's first sure row
             cand = (f2 < fro_bound) & (np.arange(b)[:, None] < first)
-            ok[cand] = _trace_distances(diff[cand] @ basis.T, d) < tol
+            ok[cand] = _trace_distances(diff[cand]) < tol
             cols = np.flatnonzero(ok.any(0))
             j, i = ok.argmax(0)[cols], live[cols]
             last[i], steps[i] = xs[j + 1, cols, :, 0], n + j + 1
             live, x = np.delete(live, cols), np.delete(x, cols, axis=0)
         n += b
     last[live] = x[:, :, 0]
-    resid, states = _residuals(mr, basis, last), _states(basis, last)
+    resid, states = _residuals(mr, last), _states(last)
     return [IterationOutcome("converged" if steps[i] else "exhausted", states[i],
                              int(steps[i]) or cfg.max_iter, float(resid[i]))
             for i in range(k)]
@@ -332,24 +285,21 @@ def ralph_iterate(sys: CtcSystem, tau0, cfg: EngineConfig | None = None) -> Iter
 
 
 def _fixed_kernels(sys: CtcSystem):
-    """The noiseless loop map in real coordinates and its fixed directions,
-    from one SVD of ``mr - Id``.
-
-    Returns ``B`` and ``mr`` (``_real_map``), the right kernel ``R`` (the
-    right singular vectors whose singular value is at most
-    ``FIXED_SUBSPACE_SVD_TOL``, as orthonormal columns: the coordinates of
-    an orthonormal Hermitian basis of the fixed operators), and the ergodic
-    projector ``P = R (L^T R)^{-1} L^T`` in coordinates, ``L`` the left
-    kernel. Eigenvalue 1 of a channel is semisimple, so ``L^T R`` is
-    invertible and ``P`` is the Cesaro limit ``lim (1/n) sum_k mr^k``.
+    """The noiseless loop map ``mr`` in real coordinates and, from one SVD
+    of ``mr - Id``, its right kernel ``R`` (the right singular vectors whose
+    singular value is at most ``FIXED_SUBSPACE_SVD_TOL``, as orthonormal
+    columns: the coordinates of an orthonormal Hermitian basis of the fixed
+    operators) and the ergodic projector ``P = R (L^T R)^{-1} L^T``, ``L``
+    the left kernel. Eigenvalue 1 of a channel is semisimple, so ``L^T R``
+    is invertible and ``P`` is the Cesaro limit ``lim (1/n) sum_k mr^k``.
     """
-    basis, mr = _real_map(superoperator(sys, include_noise=False))
+    mr = _real_map(superoperator(sys, include_noise=False))
     u, s, vt = np.linalg.svd(mr - np.eye(len(mr)))
     null = s <= FIXED_SUBSPACE_SVD_TOL
     if not null.any():
         raise ConvergenceError("no fixed directions found; the map should have at least one")
     r, l = vt[null].T, u[:, null]
-    return basis, mr, r, r @ np.linalg.solve(l.T @ r, l.T)
+    return mr, r, r @ np.linalg.solve(l.T @ r, l.T)
 
 
 def deutsch_cesaro(sys: CtcSystem, tau0) -> IterationOutcome:
@@ -362,8 +312,8 @@ def deutsch_cesaro(sys: CtcSystem, tau0) -> IterationOutcome:
     between the map's image of the state and the state.
     """
     t0 = _cv_state(sys, tau0)
-    basis, mr, _, proj = _fixed_kernels(sys)
-    return _settled("converged", mr, basis, proj @ _coords(basis, t0), 0)
+    mr, _, proj = _fixed_kernels(sys)
+    return _settled("converged", mr, proj @ _coords(t0), 0)
 
 
 def allen_cesaro(sys: CtcSystem, tau0, cfg: EngineConfig | None = None) -> IterationOutcome:
@@ -381,17 +331,17 @@ def allen_cesaro(sys: CtcSystem, tau0, cfg: EngineConfig | None = None) -> Itera
 
 
 def ralph_closed_form(sys: CtcSystem) -> np.ndarray:
-    """Unique noisy fixed point from the linear solve
-    ``(Id - (1-p) M) vec(tau) = p vec(I/d)``; requires ``sys.p > 0``. The
-    one-system call of ``closed_forms``."""
+    """Unique noisy fixed point, the state ``tau = (1-p) M(tau) + p I/d``,
+    from one linear solve; requires ``sys.p > 0``. The one-system call of
+    ``closed_forms``."""
     return closed_forms(sys, sys.rho_cr[None])[0][0]
 
 
 def closed_forms(sys: CtcSystem, rho_crs):
     """``ralph_closed_form`` of ``sys`` with each CR input of the stack
     ``rho_crs`` (n, d_cr, d_cr, taken as checked) in place of
-    ``sys.rho_cr``: one loop-map einsum, one batched solve and one batched
-    density check for the whole stack.
+    ``sys.rho_cr``: one loop-map build, one batched real solve of
+    ``(Id - (1-p) mr) c = p coords(I/d)`` and one batched density check.
 
     Returns the fixed states, shape (n, d, d), each with the bits of its
     lone call, and the spectra their density check took. A state that
@@ -400,21 +350,18 @@ def closed_forms(sys: CtcSystem, rho_crs):
     if sys.p <= 0.0:
         raise ValueError("ralph_closed_form requires a system with p > 0")
     d = sys.d_cv
-    m = loop_maps(sys, rho_crs)
-    a = np.eye(d * d, dtype=complex) - (1.0 - sys.p) * m
-    b = sys.p * vec(maximally_mixed(d))
+    mr = _real_map(loop_maps(sys, rho_crs))
     try:
-        x = np.linalg.solve(a, b)
+        c = np.linalg.solve(np.eye(d * d) - (1.0 - sys.p) * mr,
+                            sys.p * _coords(maximally_mixed(d)))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
             f"singular fixed-point system at p={sys.p}: {exc}") from exc
-    tau = x.reshape(-1, d, d).swapaxes(-1, -2)  # unvec of each solution
-    tau = 0.5 * (tau + tau.conj().swapaxes(-1, -2))
-    # The exact solution has unit trace (the map preserves trace), but the
-    # system's conditioning grows like 1/p, so rounding error of order
-    # eps/p survives the solve. Renormalize and widen the PSD guard
-    # accordingly; at moderate p the guard stays at its strict default.
-    tau = tau / np.real(np.trace(tau, axis1=-2, axis2=-1))[:, None, None]
+    # The exact solution has unit trace, but the system's conditioning grows
+    # like 1/p, so rounding error of order eps/p survives the solve.
+    # Renormalize by the trace (the sum of the first d coordinates) and widen
+    # the PSD guard accordingly; at moderate p it stays at its default.
+    tau = _states(c / c[:, :d].sum(-1, keepdims=True))
     guard = max(PSD_TOL, 100.0 * np.finfo(float).eps / sys.p)
     return _checked_spectrum(tau, psd_tol=guard)
 
@@ -425,12 +372,10 @@ def consistency_residual(sys: CtcSystem, tau) -> float:
 
 
 def fixed_subspace(sys: CtcSystem) -> FixedSubspace:
-    """Hermitian basis of the noiseless map's fixed operators: the
-    operators whose coordinates are the right kernel of ``Re(B^H M B) -
-    Id`` (singular values at most ``FIXED_SUBSPACE_SVD_TOL``), orthonormal
-    because ``B`` and the kernel's columns are."""
-    basis, _, r, _ = _fixed_kernels(sys)
-    return FixedSubspace(tuple(_states(basis, r.T)))
+    """Hermitian basis of the noiseless map's fixed operators: those whose
+    coordinates are the columns of ``_fixed_kernels``' ``R``, orthonormal
+    because the coordinate basis and those columns are."""
+    return FixedSubspace(tuple(_states(_fixed_kernels(sys)[1].T)))
 
 
 def limit_superoperator(sys: CtcSystem) -> np.ndarray:
@@ -444,9 +389,9 @@ def limit_superoperator(sys: CtcSystem) -> np.ndarray:
     do for a map with non-trivial eigenvalues on the unit circle, or settle
     too slowly to tell apart from that.
     """
-    basis, mr, _, proj = _fixed_kernels(sys)
+    mr, _, proj = _fixed_kernels(sys)
     if np.abs(np.linalg.eigvals(mr - proj)).max() >= 1.0 - FIXED_SUBSPACE_SVD_TOL:
         raise ConvergenceError(
             "superoperator powers do not converge; "
             "the map has rotating spectrum on the unit circle")
-    return basis @ proj @ basis.conj().T
+    return _vec_map(proj)

@@ -238,8 +238,8 @@ def run_fig3(cfg: Fig3Config) -> RunRecord:
     One row per (eps_alpha, eps_beta) cell, row-major: the entropy of the
     cell's noisy fixed point, solved in closed form, and the trace distance
     the noisy map moves it. The grid runs as stacks: u3 is checked once and
-    every cell's CR input once, then one ``closed_forms`` call (one einsum,
-    one solve, and one density check whose spectra give the entropies) and
+    every cell's CR input once, then one ``closed_forms`` call (one map
+    build, one solve, and one density check whose spectra give the entropies) and
     one stacked residual pass. Each row has the bits that a lone
     ``ralph_closed_form`` and ``noisy_cv_map`` of its cell give. A cell
     whose state fails a density check raises ``ConvergenceError`` naming
@@ -385,15 +385,22 @@ def _kraus_section(g) -> dict:
     and the reference set's non-commutation at the maximally mixed state."""
     lim = limit_superoperator(g["u2"].system())
     extracted = kraus_from_choi(choi_matrix(lim))
-    reference = limit_kraus_ops()
+    distance, residual = _reference_comparison(lim)
     return {
         "operator_count": len(extracted),
         "completeness_defect": kraus_completeness_defect(extracted),
-        "channel_distance_to_reference":
-            channel_distance(lim, superoperator_from_kraus(reference)),
-        "commutator_residual_mm": kraus_commutator_residual(reference, maximally_mixed(4)),
+        "channel_distance_to_reference": distance,
+        "commutator_residual_mm": residual,
         "operators": [_mat_json(e) for e in extracted],
     }
+
+
+def _reference_comparison(lim) -> tuple[float, float]:
+    """The channel distance from u2's iterated-map limit ``lim`` to
+    ``limit_kraus_ops``, and that set's commutator residual at ``I/4``."""
+    reference = limit_kraus_ops()
+    return (channel_distance(lim, superoperator_from_kraus(reference)),
+            kraus_commutator_residual(reference, maximally_mixed(4)))
 
 
 def _selection_section(g) -> dict:

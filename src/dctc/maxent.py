@@ -12,13 +12,13 @@ runs projected gradient ascent on the von Neumann entropy, which is
 concave, so it finds the selection rule's unique answer; every accepted
 iterate is positive definite on the support, so the gradient stays finite.
 
-All of it runs on real coordinates in ``qmat.hermitian_basis``. The fixed
-span is the right kernel ``R`` of ``engines._fixed_kernels``. The trace is
-the sum of the first ``d`` coordinates (those of the ``E_jj``), so the
-directions are ``R`` times the null space of that row (per-element
-traceless parts would leave the fixed set when ``I`` is not fixed).
-Compressed directions that are not orthonormal within 1e-6 raise
-``ConvergenceError``: the support was cut too small.
+All of it runs on real coordinates, through ``qmat``'s coordinate map. The
+fixed span is the right kernel ``R`` of ``engines._fixed_kernels``, and the
+trace is the sum of the first ``d`` coordinates, so the directions are
+``R`` times the null space of that row (per-element traceless parts would
+leave the fixed set when ``I`` is not fixed). Compressed directions that
+are not orthonormal within 1e-6 raise ``ConvergenceError``: the support
+was cut too small.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engines import ConvergenceError, _coords, _fixed_kernels, _residuals, _states
+from .engines import ConvergenceError, _fixed_kernels, _residuals
 from .channels import CtcSystem
-from .qmat import (ENTROPY_CLAMP, _as_square, _entropy_bits, check_density, hermitian_basis,
+from .qmat import (ENTROPY_CLAMP, _as_square, _coords, _entropy_bits, _states, check_density,
                    maximally_mixed)
 
 GRAD_TOL = 1e-8
@@ -77,13 +77,13 @@ def entropy_gradient(rho) -> np.ndarray:
     return 0.5 * (g + g.conj().T)
 
 
-def _support_directions(basis: np.ndarray, r: np.ndarray, v: np.ndarray):
-    """The traceless operators ``R`` spans, compressed to the support ``v``
-    (d, k), as coordinate rows in ``hermitian_basis(k)``; ``basis`` and
-    ``R`` are ``_fixed_kernels``'. Rows that are not orthonormal within
-    1e-6 raise ``ConvergenceError``."""
+def _support_directions(r: np.ndarray, v: np.ndarray):
+    """The traceless operators ``R`` (``_fixed_kernels``') spans, compressed
+    to the support ``v`` (d, k), as coordinate rows in the k x k Hermitian
+    basis. Rows that are not orthonormal within 1e-6 raise
+    ``ConvergenceError``."""
     null = np.linalg.svd(r[:len(v)].sum(0)[None])[2][1:]
-    dirs = _coords(hermitian_basis(v.shape[1]), v.conj().T @ _states(basis, null @ r.T) @ v)
+    dirs = _coords(v.conj().T @ _states(null @ r.T) @ v)
     if np.abs(dirs @ dirs.T - np.eye(len(dirs))).max(initial=0.0) > 1e-6:
         raise ConvergenceError("fixed span leaves the anchor's support")
     return dirs
@@ -108,10 +108,10 @@ def max_entropy_fixed_state(sys: CtcSystem) -> MaxEntResult:
     support. A pure answer reads exactly ``+0.0``, as in
     ``von_neumann_entropy``.
     """
-    basis, mr, r, proj = _fixed_kernels(sys)
-    c = (proj @ _coords(basis, maximally_mixed(sys.d_cv)))[None]
-    anchor = check_density(_states(basis, c)[0], psd_tol=1e-9)
-    if _residuals(mr, basis, c)[0] >= 1e-6:
+    mr, r, proj = _fixed_kernels(sys)
+    c = (proj @ _coords(maximally_mixed(sys.d_cv)))[None]
+    anchor = check_density(_states(c)[0], psd_tol=1e-9)
+    if _residuals(mr, c)[0] >= 1e-6:
         raise ConvergenceError("anchor state is not consistent within 1e-6")
 
     # The anchor in its own eigenbasis, restricted to its support ``v``.
@@ -119,14 +119,14 @@ def max_entropy_fixed_state(sys: CtcSystem) -> MaxEntResult:
     entropy = _entropy_bits(w)
     w, v = w[w > ENTROPY_CLAMP], v[:, w > ENTROPY_CLAMP]
     tau = np.diag(w).astype(complex)
-    sub, dirs = hermitian_basis(len(w)), _support_directions(basis, r, v)
+    dirs = _support_directions(r, v)
 
     kkt = 0.0
     iterations = 0
     converged = False
     step = None  # the last step taken and the projected gradient it started from
     for iterations in range(1, MAX_ASCENT_ITER + 1):
-        g = dirs.T @ (dirs @ _coords(sub, entropy_gradient(tau)))
+        g = dirs.T @ (dirs @ _coords(entropy_gradient(tau)))
         kkt = float(np.linalg.norm(g))
         if kkt < GRAD_TOL:
             iterations -= 1
@@ -141,7 +141,7 @@ def max_entropy_fixed_state(sys: CtcSystem) -> MaxEntResult:
             sy = s @ (g0 - g)
             if sy > 0.0:
                 alpha = (s @ s) / sy
-        gm = _states(sub, g[None])[0]
+        gm = _states(g[None])[0]
         while alpha > 1e-18:
             wc = np.linalg.eigvalsh(tau + alpha * gm)
             if wc.min() > ENTROPY_CLAMP:

@@ -8,6 +8,9 @@ wrapped in classes. Conventions used throughout the package:
   chronology-violating (CV) side is ``a * d_cv + b``. This matches
   ``numpy.kron(cr_op, cv_op)``.
 * Entropies are in bits (base-2 logarithms).
+* Hermitian operators have real coordinates in ``hermitian_basis``, which
+  only the coordinate map below reads. Its helpers take ``d`` from their
+  argument's shape and give every member of a stack its lone call's bits.
 * Validation tolerances live in the module constants below; only the PSD
   guard of ``check_density`` can be widened by a caller.
 """
@@ -15,6 +18,7 @@ wrapped in classes. Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,7 +212,8 @@ def hermitian_basis(d: int) -> np.ndarray:
     sqrt(2)`` for ``j < k``. A Hermitian ``X`` has the real coordinates
     ``B^H vec(X)``, and ``B c`` of a real ``c`` is exactly Hermitian: the
     real and imaginary parts of each entry are one product each, and the
-    entries at ``jk`` and ``kj`` are conjugates. Cached per ``d``, read-only.
+    entries at ``jk`` and ``kj`` are conjugates. The trace of ``B c`` is
+    the sum of the first ``d`` coordinates. Cached per ``d``, read-only.
     """
     u = np.eye(d * d).reshape(d, d, d * d)  # u[k, j] = vec(E_jk)
     (j, k), r = np.triu_indices(d, 1), np.sqrt(0.5)
@@ -216,6 +221,44 @@ def hermitian_basis(d: int) -> np.ndarray:
     b = np.concatenate(cols).T
     b.flags.writeable = False
     return b
+
+
+def _coords(x: np.ndarray) -> np.ndarray:
+    """Real coordinates ``Re(B^H vec(x))`` of the Hermitian part of the
+    operator ``x`` (d, d), or the rows of them (n, d*d) of a stack."""
+    # one vector-matrix product per row, in a lone call's summation order
+    rows = x.swapaxes(-1, -2).reshape(*x.shape[:-2], 1, x.shape[-1] ** 2)
+    return np.matmul(rows, hermitian_basis(x.shape[-1]).conj())[..., 0, :].real
+
+
+def _states(cs: np.ndarray) -> np.ndarray:
+    """The exactly Hermitian operators whose coordinates are the rows of
+    ``cs`` (n, d*d), as an (n, d, d) array."""
+    d = math.isqrt(cs.shape[-1])
+    return np.ascontiguousarray((cs @ hermitian_basis(d).T).reshape(-1, d, d).swapaxes(1, 2))
+
+
+def _trace_distances(cs: np.ndarray) -> np.ndarray:
+    """Half the trace norm of the operator of each coordinate row of ``cs``
+    (n, d*d), with the bits ``trace_distance`` gives it against zero."""
+    return 0.5 * np.abs(np.linalg.eigvalsh(_states(cs))).sum(-1)
+
+
+def _real_map(m: np.ndarray) -> np.ndarray:
+    """The superoperator ``m`` (d*d, d*d) on vecs, or each of a stack, as
+    the real matrix ``Re(B^H m B)`` on coordinates. Raises ``ValueError``
+    when a dropped imaginary part exceeds 1e-12 (``m`` breaks Hermiticity)."""
+    b = hermitian_basis(math.isqrt(m.shape[-1]))
+    mr = b.conj().T @ m @ b
+    if np.abs(mr.imag).max() > 1e-12:
+        raise ValueError("loop map does not preserve Hermiticity")
+    return np.ascontiguousarray(mr.real)
+
+
+def _vec_map(mr: np.ndarray) -> np.ndarray:
+    """The inverse of ``_real_map``: the superoperator ``B mr B^H`` on vecs."""
+    b = hermitian_basis(math.isqrt(mr.shape[-1]))
+    return b @ mr @ b.conj().T
 
 
 def random_density(dim: int, seed: int) -> np.ndarray:

@@ -6,7 +6,6 @@ from dctc.channels import (
     apply_superoperator,
     channel_distance,
     choi_matrix,
-    _SUPEROP_PATH,
     cv_map,
     cv_maps,
     depolarize,
@@ -20,6 +19,7 @@ from dctc.channels import (
     unvec,
     vec,
 )
+from dctc.engines import limit_superoperator
 from dctc.gallery import bistable_unitary, cycling_unitary, gallery, limit_kraus_ops
 from dctc.qmat import (DimSplit, maximally_mixed, partial_trace, random_density,
                        trace_distance)
@@ -194,6 +194,26 @@ def test_kraus_roundtrip_on_noisy_channel():
     assert channel_distance(m, m_back) < 1e-9
 
 
+def test_kraus_set_is_canonical_within_a_degenerate_eigenspace():
+    """u2's limit Choi matrix has eigenvalue 1 four times over. The set
+    extracted from it is the reference set operator by operator, and a
+    1e-14 Hermiticity-preserving change of the limit moves it by at most
+    1e-10, keeping it within 1e-12 of the reference set as a channel."""
+    lim = limit_superoperator(gallery()["u2"].system())
+    ops, reference = kraus_from_choi(choi_matrix(lim)), limit_kraus_ops()
+    assert len(ops) == 4
+    assert max(np.abs(e - r).max() for e, r in zip(ops, reference)) < 1e-12
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        a, b = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
+        change = superoperator_from_kraus([a]) - superoperator_from_kraus([b])
+        moved = kraus_from_choi(choi_matrix(lim + 1e-14 * change / np.abs(change).max()))
+        assert len(moved) == 4
+        assert max(np.abs(e - m).max() for e, m in zip(ops, moved)) < 1e-10
+        assert channel_distance(superoperator_from_kraus(moved),
+                                superoperator_from_kraus(reference)) < 1e-12
+
+
 def test_kraus_from_choi_rejects_non_psd():
     with pytest.raises(ValueError):
         kraus_from_choi(np.diag([1.0, -0.5, 0.0, 0.0]))
@@ -283,8 +303,8 @@ def _pure_states(d, n, rng):
                                   (4, 3), (8, 2), (2, 8)])
 def test_stacks_keep_the_lone_bits(case, haar):
     """Each loop map and each pass of a stack has the bits of the lone
-    formulas: the three-operand einsum along the fixed path, and
-    ``partial_trace`` of ``u (rho_cr (x) tau) u^dag``."""
+    calls, ``superoperator`` and ``partial_trace`` of ``u (rho_cr (x) tau)
+    u^dag``; each map is the unplanned three-operand einsum within 1e-15."""
     rng = np.random.default_rng(sum(map(ord, str(case))))
     if isinstance(case, str):
         u, split = gallery()[case].unitary, gallery()[case].split
@@ -299,10 +319,11 @@ def test_stacks_keep_the_lone_bits(case, haar):
     maps, passes = loop_maps(sys, crs), cv_maps(sys, crs, taus)
     u4 = u.reshape(split.d_cr, d, split.d_cr, d)
     for k in range(n):
-        lone = np.einsum("abce,cf,agfh->gbhe", u4, crs[k], u4.conj(),
-                         optimize=_SUPEROP_PATH).reshape(d * d, d * d)
+        lone = superoperator(CtcSystem(u, crs[k], split))
         assert maps[k].tobytes() == lone.tobytes(), k
-        assert superoperator(CtcSystem(u, crs[k], split)).tobytes() == lone.tobytes(), k
+        formula = np.einsum("abce,cf,agfh->gbhe", u4, crs[k], u4.conj(),
+                            optimize=False).reshape(d * d, d * d)
+        assert np.abs(lone - formula).max() < 1e-15, k
         out = partial_trace(u @ np.kron(crs[k], taus[k]) @ u.conj().T, split)
         assert passes[k].tobytes() == (0.5 * (out + out.conj().T)).tobytes(), k
         assert cv_map(CtcSystem(u, crs[k], split), taus[k]).tobytes() == passes[k].tobytes(), k

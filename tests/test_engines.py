@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dctc import engines
+from dctc import engines, qmat
 from dctc.channels import CtcSystem, apply_superoperator, cv_map, superoperator
 from dctc.engines import (
     _CYCLE_DECAY_MIN,
@@ -10,7 +10,6 @@ from dctc.engines import (
     ConvergenceError,
     EngineConfig,
     IterationOutcome,
-    _sym,
     allen_cesaro,
     consistency_residual,
     deutsch_cesaro,
@@ -288,7 +287,7 @@ def test_ergodic_projector_is_the_fixed_projection(case, haar):
     """P is idempotent and absorbs the map on both sides: M P = P M = P, in
     real Hermitian-basis coordinates."""
     sys = _case_system(case, haar)
-    _, m, _, proj = engines._fixed_kernels(sys)
+    m, _, proj = engines._fixed_kernels(sys)
     assert np.abs(proj @ proj - proj).max() < 1e-12
     assert np.abs(m @ proj - proj).max() < 1e-12
     assert np.abs(proj @ m - proj).max() < 1e-12
@@ -371,6 +370,12 @@ def _real_form(m, d):
         return trace_distance(mat(c), np.zeros((d, d)))
 
     return np.ascontiguousarray((b.conj().T @ m @ b).real), mat, dist
+
+
+def _sym(x):
+    """The Hermitian part of ``x``, which the references take of every
+    start and every complex-vec image."""
+    return 0.5 * (x + x.conj().T)
 
 
 def _coordinates(x):
@@ -534,9 +539,9 @@ def test_noisy_stop_test_skips_rows_past_a_certain_stop(name, rows, monkeypatch)
     counts = []
     real = engines._trace_distances
 
-    def counting(diffs, d):
-        counts.append(len(diffs))
-        return real(diffs, d)
+    def counting(cs):
+        counts.append(len(cs))
+        return real(cs)
 
     monkeypatch.setattr(engines, "_trace_distances", counting)
     starts = [random_density(4, 1000 + i) for i in range(8)]
@@ -890,8 +895,7 @@ def test_cycle_scan_prefers_the_smallest_lag():
                          [np.zeros((3, 1)), bloch]]) @ np.linalg.inv(vecs)
     r0 = a * flip_a + b
     x0 = 0.5 * sigma[0] + sum(c * s for c, s in zip(r0, sigma[1:]))
-    basis, mr = engines._real_map(m)
-    out = engines._run_orbit(mr, basis, _coordinates(x0), cfg)
+    out = engines._run_orbit(qmat._real_map(m), _coordinates(x0), cfg)
     assert (out.status, out.steps, out.period) == ("cycle", 5, 2)
     assert _same_outcome(out, _reference_scan(m, x0, cfg))
 

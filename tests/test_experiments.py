@@ -10,7 +10,7 @@ import pytest
 
 import dctc
 from dctc import maxent
-from dctc.channels import _SUPEROP_PATH, depolarize, superoperator, unvec, vec
+from dctc.channels import depolarize, superoperator, unvec, vec
 from dctc.engines import (FIXED_SUBSPACE_SVD_TOL, ConvergenceError, consistency_residual,
                           ralph_closed_form)
 from dctc.experiments import (
@@ -32,7 +32,7 @@ from dctc.experiments import (
 )
 from dctc.gallery import cr_eps, gallery
 from dctc.maxent import max_entropy_fixed_state
-from dctc.qmat import (PSD_TOL, DensityError, check_density, maximally_mixed,
+from dctc.qmat import (PSD_TOL, DensityError, check_density, hermitian_basis, maximally_mixed,
                        partial_trace, trace_distance, von_neumann_entropy)
 
 FLAT = np.diag([1 / 3, 0.0, 1 / 3, 1 / 3]).astype(complex)
@@ -194,20 +194,28 @@ def test_run_fig3_small():
 
 def _reference_cell(cfg, task):
     """The per-cell worker the stacked grid replaced, with the closed form
-    and the noisy pass written out on the cell's lone matrices as they were:
-    the reference ``run_fig3``'s rows must match bit for bit."""
+    written out as the lone real solve on the cell's Hermitian-basis
+    coordinates and the noisy pass on the cell's lone matrices: the
+    reference ``run_fig3``'s rows must match bit for bit. The state is also
+    the complex-vec solve it replaced within ``100 eps / p``."""
     i, j = divmod(task, len(cfg.eps_values))
     ea, eb = cfg.eps_values[i], cfg.eps_values[j]
     sys = gallery()["u3"].system(rho_cr=_cr_pair(cfg.family, ea, eb), p=cfg.p)
     d, p = sys.d_cv, cfg.p
     u = sys.u.reshape(sys.split.d_cr, d, sys.split.d_cr, d)
     m = np.einsum("abce,cf,agfh->gbhe", u, sys.rho_cr, u.conj(),
-                  optimize=_SUPEROP_PATH).reshape(d * d, d * d)
-    tau = unvec(np.linalg.solve(np.eye(d * d, dtype=complex) - (1.0 - p) * m,
+                  optimize=True).reshape(d * d, d * d)
+    b = hermitian_basis(d)
+    mr = (b.conj().T @ m @ b).real
+    c = np.linalg.solve(np.eye(d * d) - (1.0 - p) * mr,
+                        p * (vec(maximally_mixed(d)) @ b.conj()).real)
+    tau = ((c / c[:d].sum()) @ b.T).reshape(d, d).T
+    guard = max(PSD_TOL, 100.0 * np.finfo(float).eps / p)
+    tau = check_density(tau, psd_tol=guard)
+    old = unvec(np.linalg.solve(np.eye(d * d, dtype=complex) - (1.0 - p) * m,
                                 p * vec(maximally_mixed(d))))
-    tau = 0.5 * (tau + tau.conj().T)
-    tau = check_density(tau / np.real(np.trace(tau)),
-                        psd_tol=max(PSD_TOL, 100.0 * np.finfo(float).eps / p))
+    old = 0.5 * (old + old.conj().T)
+    assert np.abs(tau - old / np.real(np.trace(old))).max() < 100.0 * np.finfo(float).eps / p
     out = partial_trace(sys.u @ np.kron(sys.rho_cr, tau) @ sys.u.conj().T, sys.split)
     img = depolarize(0.5 * (out + out.conj().T), p)
     return RunRow("fig3", cfg.family, None, ea, eb, p, task,

@@ -7,7 +7,7 @@ import pytest
 
 from dctc import maxent
 from dctc.channels import CtcSystem
-from dctc.engines import (ConvergenceError, _coords, _fixed_kernels, consistency_residual,
+from dctc.engines import (ConvergenceError, _fixed_kernels, consistency_residual,
                           deutsch_cesaro, fixed_subspace)
 from dctc.experiments import _DEFAULT_GRID, _cr_pair
 from dctc.gallery import cr_eps, gallery
@@ -16,7 +16,7 @@ from dctc.maxent import (GRAD_TOL, _support_directions, entropy_gradient,
 from dctc.qmat import (
     ENTROPY_CLAMP,
     DimSplit,
-    hermitian_basis,
+    _coords,
     maximally_mixed,
     random_density,
     von_neumann_entropy,
@@ -196,17 +196,17 @@ def test_project_affine_behaviour():
     the anchor's support, keeps what lies in them, removes what is
     orthogonal to them, and is idempotent."""
     sys = gallery()["u2"].system()
-    basis, _, r, _ = _fixed_kernels(sys)
+    _, r, _ = _fixed_kernels(sys)
     w, v = np.linalg.eigh(max_entropy_fixed_state(sys).anchor)
     v = v[:, w > ENTROPY_CLAMP]
-    sub, dirs = hermitian_basis(3), _support_directions(basis, r, v)
+    dirs = _support_directions(r, v)
     assert dirs.shape == (2, 9)
 
     def project(x):
         return dirs.T @ (dirs @ x)
 
     def compressed(h):
-        return _coords(sub, v.conj().T @ h @ v)
+        return _coords(v.conj().T @ h @ v)
 
     e = np.eye(4)
     for inside in (np.diag([-1.0, 0.0, 0.5, 0.5]), e[[2]].T @ e[[3]] + e[[3]].T @ e[[2]]):

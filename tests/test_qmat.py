@@ -6,6 +6,11 @@ import pytest
 from dctc.qmat import (
     DensityError,
     DimSplit,
+    _coords,
+    _real_map,
+    _states,
+    _trace_distances,
+    _vec_map,
     check_density,
     check_unitary,
     hermitian_basis,
@@ -266,10 +271,17 @@ def test_hermitian_basis_is_orthonormal_and_hermitian(d):
     assert np.abs(gram - np.eye(d * d)).max() < 1e-15
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+def _coords_formula(b, x):
+    """``Re(B^H vec(x))`` written out on one operator."""
+    return (x.reshape(-1, order="F") @ b.conj()).real
+
+
+@pytest.mark.parametrize("d", range(1, 9))
 def test_hermitian_basis_round_trip(d):
     """Any real coordinates give an exactly Hermitian operator, and a
-    Hermitian operator's coordinates ``Re(B^H vec X)`` give it back."""
+    Hermitian operator's coordinates ``Re(B^H vec X)`` give it back. The
+    coordinate map's helpers follow these formulas, and give every member
+    of a stack the bits of its lone call."""
     b = hermitian_basis(d)
     c = np.random.default_rng(d).standard_normal(d * d)
     x = (b @ c).reshape(d, d, order="F")
@@ -280,3 +292,22 @@ def test_hermitian_basis_round_trip(d):
     back = (b @ coords.real).reshape(d, d, order="F")
     assert np.array_equal(back, back.conj().T)
     assert np.abs(back - rho).max() < 1e-15
+
+    rng = np.random.default_rng(100 + d)
+    xs = rng.standard_normal((6, d, d)) + 1j * rng.standard_normal((6, d, d))
+    cs = rng.standard_normal((6, d * d))
+    rs = rng.standard_normal((6, d * d, d * d))
+    coords, states, dists = _coords(xs), _states(cs), _trace_distances(cs)
+    maps = _vec_map(rs)
+    real = _real_map(maps)
+    assert np.abs(_coords(states) - cs).max() < 1e-14
+    assert np.abs(real - rs).max() < 1e-13
+    for k in range(6):
+        assert coords[k].tobytes() == _coords(xs[k]).tobytes()
+        assert np.array_equal(coords[k], _coords_formula(b, xs[k]))
+        assert states[k].tobytes() == _states(cs[k])[0].tobytes()
+        assert np.array_equal(states[k], (b @ cs[k]).reshape(d, d, order="F"))
+        assert dists[k].tobytes() == _trace_distances(cs[k:k + 1])[0].tobytes()
+        assert dists[k] == trace_distance(states[k], np.zeros((d, d)))
+        assert maps[k].tobytes() == _vec_map(rs[k]).tobytes()
+        assert real[k].tobytes() == _real_map(maps[k]).tobytes()
