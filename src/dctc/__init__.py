@@ -13,10 +13,10 @@ from .channels import (CtcSystem, apply_superoperator, channel_distance,
                        choi_matrix, cv_map, depolarize, kraus_commutator_residual,
                        kraus_completeness_defect, kraus_from_choi, noisy_cv_map,
                        superoperator, superoperator_from_kraus, unvec, vec)
-from .engines import (ConvergenceError, EngineConfig, FixedSubspace,
-                      IterationOutcome, allen_cesaro, consistency_residual,
-                      deutsch_cesaro, fixed_subspace, limit_superoperator,
-                      ralph_closed_form, ralph_iterate, ralph_iterate_many)
+from .engines import (ConvergenceError, EngineConfig, IterationOutcome,
+                      allen_cesaro, consistency_residual, deutsch_cesaro,
+                      fixed_subspace, limit_superoperator, ralph_closed_form,
+                      ralph_iterate, ralph_iterate_many)
 from .maxent import MaxEntResult, entropy_gradient, max_entropy_fixed_state
 from .gallery import (GallerySystem, bistable_unitary, cr_eps, cr_mixed,
                       cr_pure, cr_swap_symmetric, cycling_unitary,

@@ -6,8 +6,9 @@ A circuit is a ``CtcSystem``: a joint unitary ``u`` on the CR x CV space
 depolarization strength ``p`` applied to the CV side after each pass.
 
 One pass of the loop sends the CV state ``tau`` to
-``Tr_CR( u (rho_cr (x) tau) u^dag )``; that linear map is what ``cv_map``
-applies and what ``superoperator`` represents as a matrix.
+``Tr_CR( u (rho_cr (x) tau) u^dag )``; that linear map is what
+``superoperator`` represents as a matrix, and ``cv_map`` applies it in the
+real coordinates of ``qmat``'s coordinate map, as every engine does.
 
 Vectorization is column-stacking: ``vec(A)[i + d*j] = A[i, j]``, so
 ``vec(E X E^dag) = kron(conj(E), E) vec(X)``.
@@ -25,6 +26,9 @@ from .qmat import (
     check_unitary,
     maximally_mixed,
     _as_square,
+    _coords,
+    _real_map,
+    _states,
 )
 
 KRAUS_EIG_CUTOFF = 1e-10
@@ -75,23 +79,9 @@ def _cv_state(sys: CtcSystem, tau) -> np.ndarray:
 
 
 def cv_map(sys: CtcSystem, tau) -> np.ndarray:
-    """One noiseless pass: the CV marginal of ``u (rho_cr (x) tau) u^dag``;
-    the one-state call of ``cv_maps``."""
-    return cv_maps(sys, sys.rho_cr[None], _cv_state(sys, tau)[None])[0]
-
-
-def cv_maps(sys: CtcSystem, rho_crs, taus) -> np.ndarray:
-    """``cv_map`` of each CV state in the stack ``taus`` (n, d_cv, d_cv)
-    through ``sys`` with the CR input of the same index in ``rho_crs``
-    (n, d_cr, d_cr), whatever ``sys.rho_cr`` is; each pass has the bits of
-    its lone call. Both stacks are taken as checked density matrices."""
-    d_cr, d, n = sys.split.d_cr, sys.d_cv, len(taus)
-    # kron(rho_crs[k], taus[k]) for every k, as np.kron forms it
-    joint = (rho_crs[:, :, None, :, None] * taus[:, None, :, None, :]).reshape(
-        n, sys.split.total, sys.split.total)
-    after = (sys.u @ joint @ sys.u.conj().T).reshape(n, d_cr, d, d_cr, d)
-    out = np.einsum("nabad->nbd", after)  # trace over CR
-    return 0.5 * (out + out.conj().swapaxes(-1, -2))
+    """One noiseless pass: the CV marginal of ``u (rho_cr (x) tau) u^dag``,
+    as ``superoperator``'s real map applied to ``tau``'s coordinates."""
+    return _states(_real_map(superoperator(sys)) @ _coords(_cv_state(sys, tau)))[0]
 
 
 def depolarize(tau, p: float) -> np.ndarray:
@@ -137,11 +127,17 @@ def superoperator(sys: CtcSystem, include_noise: bool = False) -> np.ndarray:
     With ``include_noise`` the depolarizing step at ``sys.p`` is composed
     in as the rank-one update ``(1-p) M + p vec(I/d) vec(I)^T``.
     """
+    m = loop_maps(sys, sys.rho_cr[None])
+    return (_with_noise(sys, m) if include_noise else m)[0]
+
+
+def _with_noise(sys: CtcSystem, maps) -> np.ndarray:
+    """The loop-pass matrices ``maps`` (n, d^2, d^2) with the depolarizing
+    step at ``sys.p`` composed in, ``superoperator``'s rank-one update."""
+    if sys.p == 0.0:
+        return maps
     d = sys.d_cv
-    m = loop_maps(sys, sys.rho_cr[None])[0]
-    if include_noise and sys.p > 0.0:
-        m = (1.0 - sys.p) * m + sys.p * np.outer(vec(maximally_mixed(d)), vec(np.eye(d)))
-    return m
+    return (1.0 - sys.p) * maps + sys.p * np.outer(vec(maximally_mixed(d)), vec(np.eye(d)))
 
 
 def loop_maps(sys: CtcSystem, rho_crs) -> np.ndarray:

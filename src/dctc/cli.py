@@ -146,7 +146,7 @@ def _expand_config_file(argv, sub_map):
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read config file {path}: {exc}")
     file_args = []
     for lineno, raw in enumerate(lines, start=1):
@@ -192,7 +192,7 @@ def _mat_lines(m, digits=6) -> str:
     a = np.asarray(m)
     if np.abs(np.imag(a)).max() < 1e-12:
         a = np.real(a)
-    return np.array2string(np.round(a, digits), suppress_small=True)
+    return np.array2string(np.round(a, digits) + 0.0, suppress_small=True)
 
 
 def _cmd_demo(args) -> int:
@@ -370,7 +370,7 @@ def _diag_family_description(span) -> str:
     empty slice is reported in words."""
     # residual of each E_jj (the coordinate vector e_j) after projection onto
     # the orthonormal span; combinations x with resid @ x = 0 lie in it
-    rows, d = _coords(np.array(span)), len(span[0])
+    rows, d = _coords(span), len(span[0])
     resid = np.eye(d * d)[:, :d] - rows.T @ rows[:, :d]
     _, sv, vt = np.linalg.svd(resid)
     null = vt[np.sum(sv > 1e-9):]
@@ -401,18 +401,18 @@ def _cmd_fixedpoints(args) -> int:
     out = _resolve_out_dir(args)
     t0 = time.monotonic()
     sysdef = gallery()[args.system]
-    fs = fixed_subspace(sysdef.system())
-    desc = _diag_family_description(fs.basis)
-    print(f"fixed-operator subspace of {args.system}: dimension {fs.dim}")
+    basis = fixed_subspace(sysdef.system())
+    desc = _diag_family_description(basis)
+    print(f"fixed-operator subspace of {args.system}: dimension {len(basis)}")
     print(f"diagonal slice: {desc}")
-    for k, b in enumerate(fs.basis):
+    for k, b in enumerate(basis):
         print(f"basis element {k + 1}:")
         print(_mat_lines(b))
     _write_artifact(out, RunRecord("fixedpoints", {"system": args.system}, (),
                                    time.monotonic() - t0),
-                    {"system": args.system, "dimension": fs.dim,
+                    {"system": args.system, "dimension": len(basis),
                      "diagonal_slice": desc,
-                     "basis": [_mat_json(b) for b in fs.basis]})
+                     "basis": [_mat_json(b) for b in basis]})
     return 0
 
 

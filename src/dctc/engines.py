@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import CtcSystem, _cv_state, cv_map, loop_maps, superoperator
+from .channels import CtcSystem, _cv_state, _with_noise, cv_map, loop_maps, superoperator
 from .qmat import (PSD_TOL, _checked_spectrum, _coords, _real_map, _states, _trace_distances,
                    _vec_map, maximally_mixed, trace_distance)
 
@@ -111,17 +111,6 @@ class IterationOutcome:
     @property
     def period(self) -> int | None:
         return None if self.cycle_states is None else len(self.cycle_states)
-
-
-@dataclass(frozen=True)
-class FixedSubspace:
-    """Orthonormal Hermitian basis of the noiseless map's fixed operators."""
-
-    basis: tuple[np.ndarray, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
 
 
 def _residuals(mr: np.ndarray, cs: np.ndarray) -> np.ndarray:
@@ -341,16 +330,21 @@ def closed_forms(sys: CtcSystem, rho_crs):
     """``ralph_closed_form`` of ``sys`` with each CR input of the stack
     ``rho_crs`` (n, d_cr, d_cr, taken as checked) in place of
     ``sys.rho_cr``: one loop-map build, one batched real solve of
-    ``(Id - (1-p) mr) c = p coords(I/d)`` and one batched density check.
+    ``(Id - (1-p) mr) c = p coords(I/d)``, one batched density check and
+    one residual pass.
 
-    Returns the fixed states, shape (n, d, d), each with the bits of its
-    lone call, and the spectra their density check took. A state that
-    fails the check raises ``DensityError`` with its index in the stack.
+    Returns the fixed states, shape (n, d, d), the spectra their density
+    check took, and each state's residual: the trace distance that the
+    real noisy map, noise composed in as ``superoperator`` composes it,
+    moves the solved coordinates. Each value has the bits of its lone
+    call. A state that fails the check raises ``DensityError`` with its
+    index in the stack.
     """
     if sys.p <= 0.0:
         raise ValueError("ralph_closed_form requires a system with p > 0")
     d = sys.d_cv
-    mr = _real_map(loop_maps(sys, rho_crs))
+    maps = loop_maps(sys, rho_crs)
+    mr = _real_map(maps)
     try:
         c = np.linalg.solve(np.eye(d * d) - (1.0 - sys.p) * mr,
                             sys.p * _coords(maximally_mixed(d)))
@@ -361,9 +355,10 @@ def closed_forms(sys: CtcSystem, rho_crs):
     # like 1/p, so rounding error of order eps/p survives the solve.
     # Renormalize by the trace (the sum of the first d coordinates) and widen
     # the PSD guard accordingly; at moderate p it stays at its default.
-    tau = _states(c / c[:, :d].sum(-1, keepdims=True))
+    c = c / c[:, :d].sum(-1, keepdims=True)
     guard = max(PSD_TOL, 100.0 * np.finfo(float).eps / sys.p)
-    return _checked_spectrum(tau, psd_tol=guard)
+    taus, spectra = _checked_spectrum(_states(c), psd_tol=guard)
+    return taus, spectra, _residuals(_real_map(_with_noise(sys, maps)), c)
 
 
 def consistency_residual(sys: CtcSystem, tau) -> float:
@@ -371,11 +366,12 @@ def consistency_residual(sys: CtcSystem, tau) -> float:
     return trace_distance(cv_map(sys, tau), tau)
 
 
-def fixed_subspace(sys: CtcSystem) -> FixedSubspace:
-    """Hermitian basis of the noiseless map's fixed operators: those whose
-    coordinates are the columns of ``_fixed_kernels``' ``R``, orthonormal
-    because the coordinate basis and those columns are."""
-    return FixedSubspace(tuple(_states(_fixed_kernels(sys)[1].T)))
+def fixed_subspace(sys: CtcSystem) -> np.ndarray:
+    """Orthonormal Hermitian basis of the noiseless map's fixed operators,
+    shape (dim, d, d): the operators whose coordinates are the columns of
+    ``_fixed_kernels``' ``R``, orthonormal because the coordinate basis and
+    those columns are."""
+    return _states(_fixed_kernels(sys)[1].T)
 
 
 def limit_superoperator(sys: CtcSystem) -> np.ndarray:

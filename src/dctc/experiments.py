@@ -27,9 +27,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .channels import (channel_distance, choi_matrix, cv_maps, depolarize,
-                       kraus_commutator_residual, kraus_completeness_defect,
-                       kraus_from_choi, superoperator_from_kraus)
+from .channels import (channel_distance, choi_matrix, kraus_commutator_residual,
+                       kraus_completeness_defect, kraus_from_choi,
+                       superoperator_from_kraus)
 from .engines import (ConvergenceError, EngineConfig, closed_forms, limit_superoperator,
                       ralph_closed_form, ralph_iterate, ralph_iterate_many)
 from .gallery import (cr_eps, cr_mixed, cr_pure, cr_swap_symmetric, gallery,
@@ -239,11 +239,11 @@ def run_fig3(cfg: Fig3Config) -> RunRecord:
     cell's noisy fixed point, solved in closed form, and the trace distance
     the noisy map moves it. The grid runs as stacks: u3 is checked once and
     every cell's CR input once, then one ``closed_forms`` call (one map
-    build, one solve, and one density check whose spectra give the entropies) and
-    one stacked residual pass. Each row has the bits that a lone
-    ``ralph_closed_form`` and ``noisy_cv_map`` of its cell give. A cell
-    whose state fails a density check raises ``ConvergenceError`` naming
-    the cell, chained to the check's error.
+    build, one solve, one density check whose spectra give the entropies,
+    and one residual pass on the solved coordinates). Each row has the bits
+    that a lone ``closed_forms`` call of its cell gives. A cell whose state
+    fails a density check raises ``ConvergenceError`` naming the cell,
+    chained to the check's error.
 
     The returned record carries the entropy grid, the adjacent-cell
     continuity metric with its pinned budget (when one is recorded for this
@@ -258,8 +258,7 @@ def run_fig3(cfg: Fig3Config) -> RunRecord:
     cells = [(ea, eb) for ea in cfg.eps_values for eb in cfg.eps_values]
     crs = check_density(np.stack([_cr_pair(cfg.family, ea, eb) for ea, eb in cells]))
     try:
-        taus, spectra = closed_forms(sys, crs)
-        resid = trace_distance(depolarize(cv_maps(sys, crs, taus), cfg.p), taus)
+        _, spectra, resid = closed_forms(sys, crs)
     except DensityError as exc:
         ea, eb = cells[exc.index[0]]
         raise ConvergenceError(

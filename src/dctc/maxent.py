@@ -47,7 +47,8 @@ class MaxEntResult:
     kkt_residual : Frobenius norm of the final projected gradient
     converged : whether the ascent stopped on ``kkt_residual < GRAD_TOL``;
         False when it ran out of steps or its line search found no step
-    fixed_dim : dimension of the fixed-operator span, ``fixed_subspace``'s
+    fixed_dim : dimension of the fixed-operator span, ``len`` of
+        ``fixed_subspace``
     anchor : the anchor ``P(I)/d``, ``deutsch_cesaro`` from ``I/d`` bit for
         bit
     """

@@ -7,7 +7,6 @@ from dctc.channels import (
     channel_distance,
     choi_matrix,
     cv_map,
-    cv_maps,
     depolarize,
     kraus_commutator_residual,
     kraus_completeness_defect,
@@ -21,8 +20,8 @@ from dctc.channels import (
 )
 from dctc.engines import limit_superoperator
 from dctc.gallery import bistable_unitary, cycling_unitary, gallery, limit_kraus_ops
-from dctc.qmat import (DimSplit, maximally_mixed, partial_trace, random_density,
-                       trace_distance)
+from dctc.qmat import (DimSplit, hermitian_basis, maximally_mixed, partial_trace,
+                       random_density, trace_distance)
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 STABLE = np.diag([0.5, 0.0, 0.25, 0.25]).astype(complex)
@@ -300,11 +299,13 @@ def _pure_states(d, n, rng):
 
 
 @pytest.mark.parametrize("case", ["u1", "u2", "u3", (2, 2), (3, 2), (2, 3),
-                                  (4, 3), (8, 2), (2, 8)])
+                                  (4, 3), (8, 2), (2, 8), (1, 3), (3, 1)])
 def test_stacks_keep_the_lone_bits(case, haar):
-    """Each loop map and each pass of a stack has the bits of the lone
-    calls, ``superoperator`` and ``partial_trace`` of ``u (rho_cr (x) tau)
-    u^dag``; each map is the unplanned three-operand einsum within 1e-15."""
+    """Each loop map of a stack has the bits of the lone ``superoperator``
+    call and is the unplanned three-operand einsum within 1e-15. ``cv_map``
+    is that map's real view ``Re(B^H M B)`` applied to the state's
+    coordinates, bit for bit, and the CV marginal ``partial_trace`` of
+    ``u (rho_cr (x) tau) u^dag`` within 1e-15."""
     rng = np.random.default_rng(sum(map(ord, str(case))))
     if isinstance(case, str):
         u, split = gallery()[case].unitary, gallery()[case].split
@@ -315,15 +316,18 @@ def test_stacks_keep_the_lone_bits(case, haar):
     crs = np.concatenate([np.stack([random_density(split.d_cr, 300 + k) for k in range(n // 2)]),
                           _pure_states(split.d_cr, n // 2, rng)])
     taus = np.stack([random_density(d, 700 + k) for k in range(n)])
-    sys = CtcSystem(u, crs[0], split)
-    maps, passes = loop_maps(sys, crs), cv_maps(sys, crs, taus)
-    u4 = u.reshape(split.d_cr, d, split.d_cr, d)
+    maps = loop_maps(CtcSystem(u, crs[0], split), crs)
+    u4, b = u.reshape(split.d_cr, d, split.d_cr, d), hermitian_basis(d)
     for k in range(n):
-        lone = superoperator(CtcSystem(u, crs[k], split))
+        sys = CtcSystem(u, crs[k], split)
+        lone = superoperator(sys)
         assert maps[k].tobytes() == lone.tobytes(), k
         formula = np.einsum("abce,cf,agfh->gbhe", u4, crs[k], u4.conj(),
                             optimize=False).reshape(d * d, d * d)
         assert np.abs(lone - formula).max() < 1e-15, k
+        mr = (b.conj().T @ lone @ b).real.copy()  # contiguous, so the matvec runs in BLAS
+        img = mr @ (vec(taus[k]) @ b.conj()).real
+        step = cv_map(sys, taus[k])
+        assert step.tobytes() == (img @ b.T).reshape(d, d).T.tobytes(), k
         out = partial_trace(u @ np.kron(crs[k], taus[k]) @ u.conj().T, split)
-        assert passes[k].tobytes() == (0.5 * (out + out.conj().T)).tobytes(), k
-        assert cv_map(CtcSystem(u, crs[k], split), taus[k]).tobytes() == passes[k].tobytes(), k
+        assert np.abs(step - out).max() < 1e-15, k

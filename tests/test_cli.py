@@ -2,6 +2,7 @@ import importlib.metadata
 import json
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 
 import dctc
 from dctc import maxent
-from dctc.cli import run
+from dctc.cli import _mat_lines, run
 
 
 def _read_json(path):
@@ -249,6 +250,22 @@ def test_config_file_unknown_key(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unknown key" in err
     assert "bad.cfg:1" in err
+
+
+def test_config_file_not_utf8(tmp_path, capsys):
+    """A config file that does not decode is a usage error, not a traceback."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"seed = 1\n\xff bad\n")
+    assert run(["sweep", "--config", str(cfg)]) == 1
+    assert "cannot read config file" in capsys.readouterr().err
+
+
+def test_printed_matrices_have_no_negative_zero():
+    """A rounding-level negative entry prints as ``0.``, in a real matrix
+    and in the real part of a complex one."""
+    for m in (np.array([[1.0, -1e-17], [2e-18, 1.0]]),
+              np.array([[1.0, -1e-17 + 0.5j], [-1e-17 - 0.5j, 1.0]])):
+        assert re.search(r"-0\.(?![0-9])", _mat_lines(m)) is None, _mat_lines(m)
 
 
 def test_out_dir_environment_fallback(tmp_path, monkeypatch):

@@ -193,11 +193,13 @@ def test_run_fig3_small():
 
 
 def _reference_cell(cfg, task):
-    """The per-cell worker the stacked grid replaced, with the closed form
-    written out as the lone real solve on the cell's Hermitian-basis
-    coordinates and the noisy pass on the cell's lone matrices: the
-    reference ``run_fig3``'s rows must match bit for bit. The state is also
-    the complex-vec solve it replaced within ``100 eps / p``."""
+    """The per-cell worker the stacked grid replaced, written out as the
+    lone real solve on the cell's Hermitian-basis coordinates and the
+    residual of the cell's real noisy map on them: the reference
+    ``run_fig3``'s rows must match bit for bit. The state is also the
+    complex-vec solve it replaced within ``100 eps / p``, and the residual
+    the complex pass ``depolarize(Tr_CR(u (rho_cr (x) tau) u^dag))`` it
+    replaced within 1e-15."""
     i, j = divmod(task, len(cfg.eps_values))
     ea, eb = cfg.eps_values[i], cfg.eps_values[j]
     sys = gallery()["u3"].system(rho_cr=_cr_pair(cfg.family, ea, eb), p=cfg.p)
@@ -209,18 +211,22 @@ def _reference_cell(cfg, task):
     mr = (b.conj().T @ m @ b).real
     c = np.linalg.solve(np.eye(d * d) - (1.0 - p) * mr,
                         p * (vec(maximally_mixed(d)) @ b.conj()).real)
-    tau = ((c / c[:d].sum()) @ b.T).reshape(d, d).T
+    c = c / c[:d].sum()
+    tau = (c @ b.T).reshape(d, d).T
     guard = max(PSD_TOL, 100.0 * np.finfo(float).eps / p)
     tau = check_density(tau, psd_tol=guard)
     old = unvec(np.linalg.solve(np.eye(d * d, dtype=complex) - (1.0 - p) * m,
                                 p * vec(maximally_mixed(d))))
     old = 0.5 * (old + old.conj().T)
     assert np.abs(tau - old / np.real(np.trace(old))).max() < 100.0 * np.finfo(float).eps / p
+    noisy = (1.0 - p) * m + p * np.outer(vec(maximally_mixed(d)), vec(np.eye(d)))
+    step = (b.conj().T @ noisy @ b).real.copy() @ c - c  # contiguous, so BLAS runs the matvec
+    resid = 0.5 * np.abs(np.linalg.eigvalsh((step @ b.T).reshape(d, d).T)).sum()
     out = partial_trace(sys.u @ np.kron(sys.rho_cr, tau) @ sys.u.conj().T, sys.split)
-    img = depolarize(0.5 * (out + out.conj().T), p)
+    assert abs(resid - trace_distance(depolarize(0.5 * (out + out.conj().T), p), tau)) < 1e-15
     return RunRow("fig3", cfg.family, None, ea, eb, p, task,
                   derive_seed(cfg.master_seed, task), "closed-form",
-                  von_neumann_entropy(tau), trace_distance(img, tau), 0)
+                  von_neumann_entropy(tau), resid, 0)
 
 
 def _row_bits(row):

@@ -95,16 +95,16 @@ def test_discontinuity_fixed_sets_by_input():
 
     # case A: exactly-|0> alpha with nearly-|0> beta fixes only I/2
     sub = fixed_subspace(g.system(rho_cr=np.kron(ket0, mix)))
-    assert sub.dim == 1
-    assert np.abs(_span_projector(sub.basis)
+    assert len(sub) == 1
+    assert np.abs(_span_projector(sub)
                   - _span_projector([np.eye(2)])).max() < 1e-8
 
     # case B: both CR qubits at |0> fix every diagonal CV state, and the
     # entropy-maximizing choice is the maximally mixed one
     sys = g.system(rho_cr=np.kron(ket0, ket0))
     sub = fixed_subspace(sys)
-    assert sub.dim == 2
-    assert np.abs(_span_projector(sub.basis)
+    assert len(sub) == 2
+    assert np.abs(_span_projector(sub)
                   - _span_projector([ket0, ket1])).max() < 1e-8
     res = max_entropy_fixed_state(sys)
     assert np.abs(res.state - maximally_mixed(2)).max() < 1e-6
@@ -112,8 +112,8 @@ def test_discontinuity_fixed_sets_by_input():
     # case C: nearly-|0> alpha with exactly-|0> beta pins the CV ground state
     sys = g.system(rho_cr=np.kron(mix, ket0))
     sub = fixed_subspace(sys)
-    assert sub.dim == 1
-    b = sub.basis[0]
+    assert len(sub) == 1
+    b = sub[0]
     b = b / np.trace(b)
     assert np.abs(b - ket0).max() < 1e-8
 
